@@ -67,14 +67,6 @@ class BlowUp(MapstopError):
     pass
 
 
-class ConstraintViolation(MapstopError):
-    pass
-
-
-class DivisionNearZero(MapstopError):
-    pass
-
-
 class Unbounded(MapstopError):
     """The stopping problem has no finite value (discount rate too small)."""
     exit_code = 4

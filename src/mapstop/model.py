@@ -186,11 +186,6 @@ def validate(model: MapModel):
     return out
 
 
-def path_classes(model: MapModel):
-    """Per-state variation class, 'bv' or 'ubv'."""
-    return tuple("bv" if c.is_bv else "ubv" for c in model.components)
-
-
 def _irreducible(Q) -> bool:
     n = Q.shape[0]
     adj = (Q > 0).astype(int)

@@ -14,6 +14,11 @@ into a polynomial whose roots zeta_k drive the explicit inversion
 with residue matrices R_k.  Z^(q) follows by integration,
 
     Z^(q)(x) = I + (sum_k R_k (e^{zeta_k x} - 1)/zeta_k)(q I - Q).
+
+One kernel evaluates every such sum (W, Z, their row sums and the
+x-derivatives); it raises BlowUp when e^{zeta_k x} overflows.  Phi(q) is
+the smallest positive real root; spectral_decompose raises EigenFailure
+when the Perron root kappa does not cross q there.
 """
 
 from __future__ import annotations
@@ -26,19 +31,18 @@ from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 
 from .errors import (
+    BlowUp,
     DegenerateRoots,
     EigenFailure,
     ModelShapeMismatch,
     RootCountMismatch,
     ValidationError,
 )
-from .model import MapModel, big_psi, big_psi_deriv
-from .model import phi as _phi
+from .model import MapModel, big_psi, big_psi_deriv, kappa
 
 __all__ = [
     "SpectralRep",
     "ScaleTable",
-    "DiagLimit",
     "spectral_decompose",
     "eval_w",
     "eval_z",
@@ -47,7 +51,6 @@ __all__ = [
     "eval_z_one",
     "eval_w_one_deriv",
     "w_zero_plus",
-    "w_prime_zero_plus",
     "wiener_closed_form",
     "a_threshold",
 ]
@@ -200,6 +203,12 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
     single companion-matrix eigenproblem plus a Newton polish.  Residues
     use the cofactor identity R = adj(A) / tr(adj(A) A') at each root.
 
+    phi_q is the smallest positive real root: any other positive real zero
+    z has kappa(z) > q, so it lies above Phi(q).  Two Perron roots confirm
+    it, kappa(phi_q - eps) <= q < kappa(phi_q + eps) with
+    eps = 1e-9 (1 + phi_q); EigenFailure is raised otherwise, or when no
+    positive real root exists.
+
     Raises DegenerateRoots when two roots come closer than 1e-7 (perturb q
     slightly in that case) and RootCountMismatch when the number of roots
     with positive real part is not N.
@@ -268,25 +277,20 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
         if real_mask[k]:
             R = R.real + 0j
         residues[k] = R
-    phi_target = _phi(model, q)
-    cand = [
-        k
-        for k in range(len(roots))
-        if real_mask[k] and roots[k].real > 0
-    ]
-    if not cand:
+    cand = roots.real[real_mask & (roots.real > 0)]
+    if not cand.size:
         raise EigenFailure("no positive real root to match the Perron inverse")
-    k_phi = min(cand, key=lambda k: abs(roots[k].real - phi_target))
-    if abs(roots[k_phi].real - phi_target) > 1e-9 * (1.0 + abs(phi_target)):
+    phi_q = float(cand.min())
+    eps = 1e-9 * (1.0 + phi_q)
+    if not kappa(model, phi_q - eps) <= q < kappa(model, phi_q + eps):
         raise EigenFailure(
-            f"no spectral root matches Phi(q): nearest {roots[k_phi].real} "
-            f"vs {phi_target}"
+            f"kappa does not cross q = {q} at the smallest positive root {phi_q}"
         )
     return SpectralRep(
         q=q,
         roots=roots,
         residues=residues,
-        phi_q=float(roots[k_phi].real),
+        phi_q=phi_q,
         q_matrix=np.array(model.q_matrix, dtype=float),
     )
 
@@ -295,90 +299,78 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
 
 
 def _real_cast(arr):
-    mag = np.abs(arr.real).max() if arr.size else 0.0
-    if arr.size and np.abs(arr.imag).max() > IMAG_GUARD * (1.0 + mag):
+    if not arr.size:
+        return arr.real
+    mag = np.abs(arr.real).max()
+    imag = np.abs(arr.imag).max()
+    if not math.isfinite(mag + imag):
+        raise BlowUp("scale-matrix evaluation overflowed (e^{zeta x} too large)")
+    if imag > IMAG_GUARD * (1.0 + mag):
         raise EigenFailure("scale-matrix evaluation produced a non-real result")
     return arr.real
 
 
-def eval_w(rep: SpectralRep, x):
-    """W^(q)(x): zero matrix for x < 0, sum_k R_k e^{zeta_k x} for x >= 0."""
+def _spectral_sum(rep: SpectralRep, x, order: int, rows: bool, right=None):
+    """sum_k w_k(x) C_k at each x, the one evaluator behind W and Z.
+
+    order selects the weight: 0 for e^{zeta_k x}, 1 for its x-derivative
+    zeta_k e^{zeta_k x} (both zero for x < 0), -1 for the integral
+    (e^{zeta_k x} - 1)/zeta_k (zero for x <= 0).  C_k is the residue R_k,
+    or its row sums R_k 1 when rows is set; a matrix `right` multiplies the
+    sum before the imaginary parts are dropped.  Raises BlowUp when the
+    sum is not finite.  Shape (N, N) or (N,) per point, with a leading
+    axis unless x is a scalar.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     E = np.exp(np.outer(xs, rep.roots))
-    E[xs < 0] = 0.0
-    out = _real_cast(np.einsum("mk,kij->mij", E, rep.residues))
+    if order == 1:
+        E = E * rep.roots
+    elif order == -1:
+        E = (E - 1.0) / rep.roots
+    E[xs <= 0 if order == -1 else xs < 0] = 0.0
+    out = E @ rep.root_sums if rows else np.einsum("mk,kij->mij", E, rep.residues)
+    if right is not None:
+        out = out @ right
+    out = _real_cast(out)
     return out[0] if np.ndim(x) == 0 else out
+
+
+def _z_factor(rep: SpectralRep):
+    return rep.q * np.eye(rep.n_states) - rep.q_matrix
+
+
+def eval_w(rep: SpectralRep, x):
+    """W^(q)(x): zero matrix for x < 0, sum_k R_k e^{zeta_k x} for x >= 0."""
+    return _spectral_sum(rep, x, 0, rows=False)
+
 
 def eval_z(rep: SpectralRep, x):
     """Z^(q)(x): identity for x <= 0, I + [sum_k R_k (e^{zeta_k x}-1)/zeta_k](qI-Q)."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    E = (np.exp(np.outer(xs, rep.roots)) - 1.0) / rep.roots
-    E[xs <= 0] = 0.0
-    n = rep.n_states
-    M = rep.q * np.eye(n) - rep.q_matrix
-    out = np.einsum("mk,kij->mij", E, rep.residues) @ M
-    out = _real_cast(out) + np.eye(n)
-    return out[0] if np.ndim(x) == 0 else out
+    z = _spectral_sum(rep, x, -1, rows=False, right=_z_factor(rep))
+    return z + np.eye(rep.n_states)
 
 
 def eval_z_prime(rep: SpectralRep, x):
     """d/dx Z^(q)(x) = W^(q)(x) (q I - Q) for x > 0 (zero for x < 0)."""
-    n = rep.n_states
-    M = rep.q * np.eye(n) - rep.q_matrix
-    return eval_w(rep, x) @ M
+    return eval_w(rep, x) @ _z_factor(rep)
 
 
 def eval_w_one(rep: SpectralRep, x):
     """Row sums [W^(q)(x) 1], shape (N,) or (m, N)."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    E = np.exp(np.outer(xs, rep.roots))
-    E[xs < 0] = 0.0
-    out = _real_cast(E @ rep.root_sums)
-    return out[0] if np.ndim(x) == 0 else out
+    return _spectral_sum(rep, x, 0, rows=True)
 
 
 def eval_w_one_deriv(rep: SpectralRep, x):
     """d/dx of the row sums [W^(q)(x) 1] for x > 0."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    E = np.exp(np.outer(xs, rep.roots)) * rep.roots
-    E[xs < 0] = 0.0
-    out = _real_cast(E @ rep.root_sums)
-    return out[0] if np.ndim(x) == 0 else out
+    return _spectral_sum(rep, x, 1, rows=True)
 
 
 def eval_z_one(rep: SpectralRep, x):
     """Row sums [Z^(q)(x) 1] = 1 + q integral_0^x [W^(q) 1] dy."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    E = (np.exp(np.outer(xs, rep.roots)) - 1.0) / rep.roots
-    E[xs <= 0] = 0.0
-    out = 1.0 + rep.q * _real_cast(E @ rep.root_sums)
-    return out[0] if np.ndim(x) == 0 else out
+    return 1.0 + rep.q * _spectral_sum(rep, x, -1, rows=True)
 
 
 # --- boundary values ---------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DiagLimit:
-    """Diagonal limit values with a symbolic-infinity tag per entry."""
-
-    values: np.ndarray
-    infinite: np.ndarray
-
-    def entry(self, i):
-        return math.inf if self.infinite[i] else float(self.values[i])
-
-    def as_matrix(self):
-        if self.infinite.any():
-            raise ValueError("limit contains an infinite entry")
-        return np.diag(self.values)
-
-    def __str__(self):
-        parts = [
-            "inf" if inf else f"{v:.6g}"
-            for v, inf in zip(self.values, self.infinite)
-        ]
-        return "diag(" + ", ".join(parts) + ")"
 
 
 def w_zero_plus(model: MapModel, q: float):
@@ -388,27 +380,6 @@ def w_zero_plus(model: MapModel, q: float):
         for c in model.components
     ]
     return np.diag(vals)
-
-
-def w_prime_zero_plus(model: MapModel, q: float) -> DiagLimit:
-    """Diagonal of W^(q)'(0+).
-
-    Unbounded variation: 2/sigma_i^2 (infinite when sigma_i = 0, which the
-    admitted model class rules out; tagged defensively).  Bounded
-    variation: (q + jump intensity + total switch rate) / a_i^2.
-    """
-    n = model.n_states
-    vals = np.zeros(n)
-    infinite = np.zeros(n, dtype=bool)
-    for i, c in enumerate(model.components):
-        if c.is_bv:
-            qi = -model.q_matrix[i, i]
-            vals[i] = (q + qi + c.total_jump_rate) / c.drift**2
-        elif c.sigma2 > 0:
-            vals[i] = 2.0 / c.sigma2
-        else:
-            infinite[i] = True
-    return DiagLimit(vals, infinite)
 
 
 # --- independent closed form for the Brownian-modulated case -----------
@@ -457,34 +428,42 @@ def wiener_closed_form(model: MapModel, q: float):
 # --- threshold a(j) ----------------------------------------------------
 
 
-def a_threshold(rep: SpectralRep, j: int, x_max: float = X_MAX_DEFAULT,
-                step: float = STEP_DEFAULT) -> float:
-    """First x > 0 with [Z^(q)(x) 1]_j <= 1, or math.inf if none up to x_max.
+def _first_crossing(grid, vals, below):
+    """First point right of grid[0] where a predicate holds, or None.
 
-    j is a 0-based state index.  Grid scan at the given step, then
-    bisection to 1e-8.
+    vals is the predicate on the grid and below(x) evaluates it anywhere.
+    The first hit grid[k], k >= 1, is refined on [grid[k-1], grid[k]] by
+    at most 60 bisections, down to a bracket of 1e-8.
     """
-    grid = np.arange(0.0, x_max + 0.5 * step, step)
-    vals = eval_z_one(rep, grid)[:, j]
-    hit = None
-    for k in range(1, len(grid)):
-        if vals[k] <= 1.0:
-            hit = k
-            break
-    if hit is None:
-        return math.inf
-    lo, hi = grid[hit - 1], grid[hit]
-    if vals[hit - 1] <= 1.0:
-        return float(lo)
+    hits = np.flatnonzero(vals[1:])
+    if not hits.size:
+        return None
+    lo, hi = grid[hits[0]], grid[hits[0] + 1]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if eval_z_one(rep, mid)[j] <= 1.0:
+        if below(mid):
             hi = mid
         else:
             lo = mid
         if hi - lo < 1e-8:
             break
     return float(0.5 * (lo + hi))
+
+
+def a_threshold(rep: SpectralRep, j: int, x_max: float = X_MAX_DEFAULT,
+                step: float = STEP_DEFAULT) -> float:
+    """First x > 0 with [Z^(q)(x) 1]_j <= 1, or math.inf if none up to x_max.
+
+    j is a 0-based state index.  Grid scan at the given step, then
+    bisection to 1e-8.  [Z 1]_j(0) = 1 sits on the threshold, so a hit at
+    the first grid step gives a(j) = 0.
+    """
+    grid = np.arange(0.0, x_max + 0.5 * step, step)
+    vals = eval_z_one(rep, grid)[:, j] <= 1.0
+    if vals[1:2].any():
+        return 0.0
+    a = _first_crossing(grid, vals, lambda x: eval_z_one(rep, x)[j] <= 1.0)
+    return math.inf if a is None else a
 
 
 # --- tabulation --------------------------------------------------------
@@ -517,10 +496,6 @@ class ScaleTable:
         return self.w_row.shape[1]
 
     @property
-    def step(self):
-        return float(self.grid[1] - self.grid[0])
-
-    @property
     def x_max(self):
         return float(self.grid[-1])
 
@@ -549,28 +524,6 @@ class ScaleTable:
         x = np.asarray(x, dtype=float)
         out = self._z_row_sp(np.clip(x, 0.0, self.x_max))
         return np.where((x < 0)[..., None], 1.0, out) if out.ndim else out
-
-    def u_at(self, x):
-        """u_j(x) = [Z 1]_j - q [W 1]_j, columnwise."""
-        return self.z_row_at(x) - self.q * self.w_row_at(x)
-
-    def _mat_at(self, table, x, left):
-        self._check_range(x)
-        x = float(x)
-        if x < 0:
-            return left.copy()
-        pos = min(x / self.step, len(self.grid) - 1.0)
-        k = int(pos)
-        if k == len(self.grid) - 1:
-            return table[k].copy()
-        t = pos - k
-        return (1.0 - t) * table[k] + t * table[k + 1]
-
-    def w_at(self, x):
-        return self._mat_at(self.w, x, np.zeros((self.n_states, self.n_states)))
-
-    def z_at(self, x):
-        return self._mat_at(self.z, x, np.eye(self.n_states))
 
     # CSV persistence ------------------------------------------------------
 

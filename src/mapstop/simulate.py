@@ -463,15 +463,9 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, start_tag=0,
 def _gain_values(gain, s_arr, j_arr):
     if gain.kind == "shepp":
         return np.exp(s_arr) * gain.h[j_arr]
-    if gain.kind == "capped":
-        return np.maximum(
-            np.exp(np.minimum(s_arr, gain.eps)) - gain.cap, 0.0
-        ) * gain.h[j_arr]
-    out = np.empty(len(s_arr))
-    for j in np.unique(j_arr):
-        m = j_arr == j
-        out[m] = np.interp(s_arr[m], gain.s_grid, gain.f_table[:, j])
-    return out
+    return np.maximum(
+        np.exp(np.minimum(s_arr, gain.eps)) - gain.cap, 0.0
+    ) * gain.h[j_arr]
 
 
 def _boundary_callable(boundary, n_states):

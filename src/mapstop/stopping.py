@@ -3,9 +3,10 @@
 Solves sup_tau E[e^{-q tau} f(Xbar_tau, Jbar_tau)] for gains driven by
 the running maximum of the additive component.  For the exponential gain
 f(s, j) = e^s h_j the drawdown boundary is constant per state and solves
-u_j(x) = [Z^(q) 1]_j(x) - q [W^(q) 1]_j(x) <= 0 minimally; general gains
-lead to a per-state first-order boundary equation integrated here by
-Runge-Kutta with interpolated scale-function row sums.
+u_j(x) = [Z^(q) 1]_j(x) - q [W^(q) 1]_j(x) <= 0 minimally.  The capped
+gain (e^{min(s, eps)} - K)^+ h_j leads to a per-state first-order
+boundary equation integrated here by Runge-Kutta with interpolated
+scale-function row sums.
 
 The boundary in force is c_{Jbar}, where Jbar is the state in which the
 running maximum was last set; Jbar resets at every new maximum.
@@ -25,19 +26,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    BlowUp,
     BoundaryMissing,
-    ConstraintViolation,
-    DivisionNearZero,
     InvalidSolution,
     Unbounded,
     ValidationError,
 )
 from .model import MapModel, kappa
 from .scale import (
+    X_MAX_DEFAULT,
     ScaleTable,
     SpectralRep,
-    _real_cast,
+    _first_crossing,
+    _spectral_sum,
     a_threshold,
     eval_w,
     eval_w_one,
@@ -53,11 +53,7 @@ __all__ = [
     "BoundaryCurve",
     "u_fn",
     "solve_shepp",
-    "value",
     "solve_boundary_ode",
-    "regime_report",
-    "RegimeReport",
-    "StateRegime",
     "ZERO_BOUNDARY",
     "INTERIOR_ROOT",
     "NO_ROOT_ON_RANGE",
@@ -79,18 +75,16 @@ DIV_FLOOR = 1e-10
 class GainSpec:
     """Gain f(s, j) on the running maximum and its modulator state.
 
+    One of two kinds, built by GainSpec.shepp or GainSpec.capped:
+
     kind 'shepp':  f = e^s h_j  (f'/f = 1, defined for all s)
     kind 'capped': f = (e^{min(s, eps)} - K)^+ h_j, valid for s > log K
-    kind 'custom': tabulated f and df/ds on an s-grid, linear interpolation
     """
 
     kind: str
     h: np.ndarray = None
     cap: float = None
     eps: float = None
-    s_grid: np.ndarray = None
-    f_table: np.ndarray = None
-    fp_table: np.ndarray = None
 
     @staticmethod
     def shepp(h) -> "GainSpec":
@@ -110,41 +104,24 @@ class GainSpec:
             raise ValidationError("capped gain needs K > 0 and eps > log K")
         return GainSpec(kind="capped", h=h, cap=cap, eps=eps)
 
-    @staticmethod
-    def custom(s_grid, f_table, fp_table) -> "GainSpec":
-        s_grid = np.asarray(s_grid, dtype=float)
-        f_table = np.asarray(f_table, dtype=float)
-        fp_table = np.asarray(fp_table, dtype=float)
-        if (f_table <= 0).any():
-            raise ValidationError("custom gain must be positive on its grid")
-        return GainSpec(
-            kind="custom", s_grid=s_grid, f_table=f_table, fp_table=fp_table
-        )
-
     @property
     def s_min(self):
         """Left end of the domain where f > 0."""
         if self.kind == "capped":
             return math.log(self.cap)
-        if self.kind == "custom":
-            return float(self.s_grid[0])
         return -math.inf
 
     def f(self, s, j):
         if self.kind == "shepp":
             return math.exp(s) * self.h[j]
-        if self.kind == "capped":
-            return max(math.exp(min(s, self.eps)) - self.cap, 0.0) * self.h[j]
-        return float(np.interp(s, self.s_grid, self.f_table[:, j]))
+        return max(math.exp(min(s, self.eps)) - self.cap, 0.0) * self.h[j]
 
     def f_prime(self, s, j):
         if self.kind == "shepp":
             return math.exp(s) * self.h[j]
-        if self.kind == "capped":
-            if s >= self.eps or s <= math.log(self.cap):
-                return 0.0
-            return math.exp(s) * self.h[j]
-        return float(np.interp(s, self.s_grid, self.fp_table[:, j]))
+        if s >= self.eps or s <= math.log(self.cap):
+            return 0.0
+        return math.exp(s) * self.h[j]
 
 
 # --- constant-boundary solver ------------------------------------------
@@ -175,9 +152,7 @@ class StopSolution:
     gain: GainSpec
     states: tuple
     rep: SpectralRep
-    table: ScaleTable
     kappa1: float
-    valid: bool
 
     def boundary(self, j) -> float:
         st = self.states[j]
@@ -202,9 +177,7 @@ class StopSolution:
         h = self.gain.h
         c = np.array([self.boundary(j) for j in range(len(self.states))])
         w = eval_w(rep, c)
-        w_prime = _real_cast(np.einsum(
-            "k,mk,kij->mij", rep.roots, np.exp(np.outer(c, rep.roots)),
-            rep.residues))
+        w_prime = _spectral_sum(rep, c, 1, rows=False)
         z_one = eval_z_one(rep, c)
         lhs = np.eye(len(c))
         rhs = h.copy()
@@ -242,17 +215,13 @@ class StopSolution:
         return math.exp(s) * float(below + h * z_y[i])
 
 
-def value(sol: StopSolution, x, s, i, j) -> float:
-    return sol.value(x, s, i, j)
-
-
-def solve_shepp(model: MapModel, q: float, h=None, x_max: float = 5.0,
-                step: float = 1e-3) -> StopSolution:
+def solve_shepp(model: MapModel, q: float, h=None,
+                x_max: float = X_MAX_DEFAULT) -> StopSolution:
     """Constant boundaries c_j for the exponential maximum gain e^s h_j.
 
     The problem value is infinite unless q > kappa(1) (raises Unbounded
     otherwise).  Per state: c_j = 0 when [W 1]_j(0+) >= 1/q; otherwise the
-    first sign change of u_j on the grid is refined by bisection; no sign
+    first sign change of u_j on the 1e-3 grid is refined by bisection; no sign
     change up to x_max is reported as the NoRootOnRange regime.  Raises
     InvalidSolution when a located boundary exceeds the threshold a(j).
     """
@@ -267,47 +236,25 @@ def solve_shepp(model: MapModel, q: float, h=None, x_max: float = 5.0,
             f"q = {q} <= kappa(1) = {k1:.6g}: the stopping value is infinite"
         )
     rep = spectral_decompose(model, q)
-    table = ScaleTable.from_rep(rep, x_max=x_max, step=step)
+    table = ScaleTable.from_rep(rep, x_max=x_max)
     w0 = np.diag(w_zero_plus(model, q))
-    grid = table.grid
-    u_grid = table.z_row - q * table.w_row
     states = []
     for j in range(model.n_states):
-        a_j = a_threshold(rep, j, x_max=x_max, step=step)
+        a_j = a_threshold(rep, j, x_max=x_max)
         if w0[j] >= 1.0 / q:
             states.append(StateSolution(j, ZERO_BOUNDARY, 0.0, a_j))
             continue
-        col = u_grid[:, j]
-        hit = None
-        for k in range(1, len(grid)):
-            if col[k] <= 0.0:
-                hit = k
-                break
-        if hit is None:
+        c_j = _first_crossing(table.grid, table.u[:, j] <= 0.0,
+                              lambda x: u_fn(rep, j, x) <= 0.0)
+        if c_j is None:
             states.append(StateSolution(j, NO_ROOT_ON_RANGE, math.nan, a_j))
             continue
-        lo, hi = grid[hit - 1], grid[hit]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if u_fn(rep, j, mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-8:
-                break
-        c_j = float(0.5 * (lo + hi))
         if c_j > a_j + 1e-10:
             raise InvalidSolution(
                 f"state {j + 1}: boundary c = {c_j:.6g} exceeds a(j) = {a_j:.6g}"
             )
         states.append(StateSolution(j, INTERIOR_ROOT, c_j, a_j))
-    valid = all(
-        st.has_boundary and st.c <= st.a + 1e-10 for st in states
-    )
-    return StopSolution(
-        q=q, gain=gain, states=tuple(states), rep=rep, table=table,
-        kappa1=k1, valid=valid,
-    )
+    return StopSolution(q=q, gain=gain, states=tuple(states), rep=rep, kappa1=k1)
 
 
 # --- general boundary curves -------------------------------------------
@@ -333,17 +280,18 @@ class _Abort(Exception):
 
 
 def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
-                       init, step: float = 1e-3, x_max: float = 5.0,
-                       strict: bool = False):
+                       init, step: float = 1e-3):
     """Integrate g'(s,j) = 1 - (f'/f) [Z 1]_j(g) / (q [W 1]_j(g)) per state.
 
     Fourth-order Runge-Kutta on a uniform s-grid; scale-function row sums
-    come from a tabulation (cubic interpolation).  Every accepted step is
-    checked against the weaker sufficient inequality for the stopped
-    supermartingale property (the computed slope may not exceed the
-    right-hand side) and against g <= a(j); violations are recorded, or
-    raised when strict is set.  Stiff right-hand sides engage sub-steps
-    and flag the curve.  Returns a tuple of BoundaryCurve.
+    come from a tabulation on [0, 5] (cubic interpolation).  Every accepted
+    step is checked against the weaker sufficient inequality for the
+    stopped supermartingale property (the computed slope may not exceed
+    the right-hand side) and against g <= a(j); violations are recorded on
+    the curve with their (s, code, detail).  A step that leaves the table
+    (BlowUp) or divides by q [W 1]_j(g) < 1e-10 (DivisionNearZero) ends
+    the curve early.  Stiff right-hand sides engage sub-steps and flag the
+    curve.  Returns a tuple of BoundaryCurve.
     """
     q = float(q)
     s0, s1 = float(s_range[0]), float(s_range[1])
@@ -355,17 +303,17 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
     if init.shape != (model.n_states,):
         raise ValidationError("one initial boundary value per state required")
     rep = spectral_decompose(model, q)
-    table = ScaleTable.from_rep(rep, x_max=x_max)
+    table = ScaleTable.from_rep(rep)
     n_steps = int(round((s1 - s0) / step))
     s_vals = s0 + step * np.arange(n_steps + 1)
     curves = []
     for j in range(model.n_states):
-        a_j = a_threshold(rep, j, x_max=x_max)
+        a_j = a_threshold(rep, j)
         violations = []
         stiff = False
 
         def rhs(s, g, j=j):
-            if g > x_max:
+            if g > X_MAX_DEFAULT:
                 raise _Abort("BlowUp", f"g = {g:.6g} beyond the table range")
             denom = q * float(table.w_row_at(g)[j])
             if denom < DIV_FLOOR:
@@ -394,15 +342,9 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
                     k3 = rhs(sm + 0.5 * hsub, g_new + 0.5 * hsub * k2)
                     k4 = rhs(sm + hsub, g_new + hsub * k3)
                     g_new = g_new + hsub / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-                if g_new < 0 or g_new > x_max:
+                if g_new < 0 or g_new > X_MAX_DEFAULT:
                     raise _Abort("BlowUp", f"g = {g_new:.6g} left [0, x_max]")
             except _Abort as ab:
-                if strict:
-                    exc = {
-                        "BlowUp": BlowUp,
-                        "DivisionNearZero": DivisionNearZero,
-                    }[ab.code]
-                    raise exc(f"state {j + 1}, s = {s:.6g}: {ab.message}")
                 violations.append((float(s), ab.code, ab.message))
                 completed = False
                 break
@@ -411,17 +353,11 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
                 bound = max(rhs(s, g), rhs(s + step, g_new))
                 if slope > bound + 1e-7 * (1.0 + abs(bound)):
                     msg = f"slope {slope:.6g} exceeds the admissible bound {bound:.6g}"
-                    if strict:
-                        raise ConstraintViolation(
-                            f"state {j + 1}, s = {s:.6g}: {msg}"
-                        )
                     violations.append((float(s), "WeakInequality", msg))
             except _Abort:
                 pass
             if g_new > a_j + 1e-10:
                 msg = f"g = {g_new:.6g} exceeds a(j) = {a_j:.6g}"
-                if strict:
-                    raise ConstraintViolation(f"state {j + 1}, s = {s + step:.6g}: {msg}")
                 violations.append((float(s + step), "ConstraintViolation", msg))
             g = g_new
             g_path.append(g)
@@ -434,41 +370,3 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
             completed=completed,
         ))
     return tuple(curves)
-
-
-# --- regime diagnostics ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StateRegime:
-    state: int
-    w_one_zero: float
-    case: str           # "i" (zero boundary) or "ii" (scan for a root)
-    a: float
-
-
-@dataclass(frozen=True, eq=False)
-class RegimeReport:
-    q: float
-    kappa1: float
-    unbounded: bool
-    states: tuple
-
-
-def regime_report(model: MapModel, q: float) -> RegimeReport:
-    """Classify each state by the applicable branch of the boundary theorem."""
-    q = float(q)
-    k1 = kappa(model, 1.0)
-    unbounded = q <= k1
-    rep = spectral_decompose(model, q)
-    w0 = np.diag(w_zero_plus(model, q))
-    states = []
-    for j in range(model.n_states):
-        case = "i" if w0[j] >= 1.0 / q else "ii"
-        states.append(StateRegime(
-            state=j,
-            w_one_zero=float(w0[j]),
-            case=case,
-            a=a_threshold(rep, j),
-        ))
-    return RegimeReport(q=q, kappa1=k1, unbounded=unbounded, states=tuple(states))

@@ -1,0 +1,46 @@
+"""Public surface: every export resolves, and removed names stay gone."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import mapstop
+
+MODULES = ["mapstop"] + [
+    f"mapstop.{m.name}" for m in pkgutil.iter_modules(mapstop.__path__)
+    if not m.ispkg
+]
+
+REMOVED = {
+    "mapstop.scale": ["DiagLimit", "w_prime_zero_plus"],
+    "mapstop.stopping": ["regime_report", "RegimeReport", "StateRegime", "value"],
+    "mapstop.model": ["path_classes"],
+    "mapstop.errors": ["ConstraintViolation", "DivisionNearZero"],
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_resolve(name):
+    mod = importlib.import_module(name)
+    for entry in getattr(mod, "__all__", ()):
+        assert hasattr(mod, entry), f"{name}.__all__ lists missing {entry!r}"
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_removed_names_are_gone(name):
+    mod = importlib.import_module(name)
+    for entry in REMOVED[name]:
+        assert not hasattr(mod, entry), f"{name}.{entry} should be gone"
+        assert entry not in getattr(mod, "__all__", ())
+
+
+def test_removed_members_are_gone():
+    from mapstop.scale import ScaleTable
+    from mapstop.stopping import GainSpec, StopSolution
+
+    for attr in ("w_at", "z_at", "u_at", "_mat_at", "step"):
+        assert not hasattr(ScaleTable, attr)
+    assert not hasattr(GainSpec, "custom")
+    assert not {"table", "valid"} & set(StopSolution.__dataclass_fields__)
+    assert not {"s_grid", "f_table", "fp_table"} & set(GainSpec.__dataclass_fields__)

@@ -130,6 +130,10 @@ def test_exit_codes(tmp_path):
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["simulate", "ivanovs2", "--functional", "id0",
                      "--dt", "0.005", "--out", str(tmp_path)]) == 2
+    # scale functions overflow on [0, 200]: numerical failure, exit 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["shepp", "ivanovs2", "--q", "1.8", "--xmax", "200",
+                         "--out", str(tmp_path)]) == 3
 
 
 def test_model_file_path(tmp_path):

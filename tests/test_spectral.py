@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mapstop.errors import ValidationError
+from mapstop.errors import BlowUp, ValidationError
 from mapstop.invert import talbot_invert
 from mapstop.model import big_psi, phi
 from mapstop.scale import (ScaleTable, a_threshold, eval_w, eval_w_one,
@@ -124,6 +124,19 @@ def test_a_threshold_landmarks(ivanovs2):
         # state 1 keeps [Z 1] above 1 on the scan range
         assert a_threshold(rep, 0) == float("inf")
         assert abs(eval_z_one(rep, a2)[1] - 1.0) < 1e-6
+
+
+def test_overflow_raises_blow_up(ivanovs2):
+    """e^{zeta x} overflows long before x = 200: a typed error, not NaN or
+    a threshold of infinity read off NaN comparisons."""
+    rep = spectral_decompose(ivanovs2, 1.8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUp):
+            eval_w_one(rep, 200.0)
+        with pytest.raises(BlowUp):
+            a_threshold(rep, 0, x_max=200.0)
+    # masked evaluation left of the origin stays finite
+    assert np.isfinite(eval_z(rep, np.array([-200.0, 0.5]))).all()
 
 
 def test_scale_table_roundtrip(tmp_path, ivanovs2):

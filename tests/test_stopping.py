@@ -77,8 +77,12 @@ def test_value_scales_with_gain_weights(ivanovs2):
 
 
 def test_normal_reflection_at_maximum(ivanovs2):
-    """s-derivative of the value vanishes at x = s exactly at the root
-    boundary; a shifted boundary breaks the stationarity."""
+    """Single-state smooth fit: with c_j held fixed, the s-derivative of
+    f(s, j) [Z(s0 - s + c_j) 1]_j vanishes at x = s exactly when c_j is the
+    root of u_j, and a shifted boundary breaks it.  This is the property
+    that makes c_j the u_j root; it is not stationarity of
+    StopSolution.value, whose maximiser over c at q = 1.8 is
+    (0.2252, 0.1890)."""
     sol = solve_shepp(ivanovs2, 1.8)
     rep = sol.rep
     gain = sol.gain
