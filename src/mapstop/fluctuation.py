@@ -181,26 +181,11 @@ def generator_check(model: MapModel, rep: SpectralRep, x: float, i: int) -> floa
 
     comp = model.components[i]
     budget = []
-    if x <= 0:
-        total = 0.0
-        for r, law in comp.jumps:
-            total += r * (_jump_integral(law, lambda y: f(i, y), x, budget) - 1.0)
-        for j in range(n):
-            if j != i and model.q_matrix[i, j] != 0.0:
-                law = model.switch_jumps[i][j]
-                if law.is_none:
-                    total += model.q_matrix[i, j] * f(j, x)
-                else:
-                    total += model.q_matrix[i, j] * _jump_integral(
-                        law, lambda y: f(j, y), x, budget
-                    )
-        total += model.q_matrix[i, i] * f(i, x)
-        return total - q * f(i, x)
-    fp = q * float(eval_w_one(rep, x)[i])
-    total = comp.drift * fp
-    if comp.sigma2 > 0:
-        fpp = q * float(eval_w_one_deriv(rep, x)[i])
-        total += 0.5 * comp.sigma2 * fpp
+    total = 0.0  # [Z 1] is constant on x <= 0: no drift or diffusion term
+    if x > 0:
+        total = comp.drift * (q * float(eval_w_one(rep, x)[i]))
+        if comp.sigma2 > 0:
+            total += 0.5 * comp.sigma2 * (q * float(eval_w_one_deriv(rep, x)[i]))
     for r, law in comp.jumps:
         total += r * (_jump_integral(law, lambda y: f(i, y), x, budget) - f(i, x))
     for j in range(n):

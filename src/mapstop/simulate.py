@@ -8,10 +8,11 @@ one-sided bias) and by exact linear interpolation on drift-only segments.
 
 Randomness protocol
 -------------------
-Path p draws from its own counter-based stream keyed by
-(master_seed, (start_tag << 40) | p), so every path is a pure function of
-the seed and its index, independent of batching.  All draws are consumed
-as uniforms in a fixed chronological order per path:
+Path p started in state start_state draws from its own counter-based
+stream keyed by (master_seed, (start_state << 40) | p), so every path is a
+pure function of the seed, its start state and its index, independent of
+batching.  All draws are consumed as uniforms in a fixed chronological
+order per path:
 
   * entering a state (including at time 0): 2 uniforms (holding time,
     switch target), then 1 more when the state carries compound jumps
@@ -136,12 +137,8 @@ class _Tape:
         return out
 
 
-def _law_budget(law):
-    return law.n_pick_uniforms + law.k_max
-
-
 def _draw_mags(tape, idx, law):
-    u = tape.take(idx, _law_budget(law))
+    u = tape.take(idx, law.n_pick_uniforms + law.k_max)
     if law.n_pick_uniforms:
         return law.sample_mag(u[:, 0], u[:, 1:])
     return law.sample_mag(None, u)
@@ -150,13 +147,13 @@ def _draw_mags(tape, idx, law):
 class _Engine:
     """Lockstep state machine over a batch of paths."""
 
-    def __init__(self, model: MapModel, cfg: SimConfig, path_ids, start_tag,
-                 x0, start_state, xbar0=None, jbar0=None):
+    def __init__(self, model: MapModel, cfg: SimConfig, path_ids, x0,
+                 start_state, xbar0=None, jbar0=None):
         self.model = model
         self.cfg = cfg
         p = len(path_ids)
         self.p = p
-        tags = [(int(start_tag) << 40) | int(pid) for pid in path_ids]
+        tags = [(int(start_state) << 40) | int(pid) for pid in path_ids]
         self.tape = _Tape(cfg.master_seed, tags)
         n = model.n_states
         self.sigma = np.array([math.sqrt(c.sigma2) for c in model.components])
@@ -207,12 +204,14 @@ class _Engine:
             else:
                 tgt[m] = s
         self.tgt[idx] = tgt
-        has_cp = self.lam[st] > 0
         self.jrem[idx] = np.inf
-        cp_idx = idx[has_cp]
-        if cp_idx.size:
-            uj = self.tape.take(cp_idx, 1)[:, 0]
-            self.jrem[cp_idx] = -np.log1p(-uj) / self.lam[self.state[cp_idx]]
+        self._next_jump(idx[self.lam[st] > 0])
+
+    def _next_jump(self, idx):
+        """Time to the next compound jump for paths in idx (rate > 0)."""
+        if idx.size:
+            u = self.tape.take(idx, 1)[:, 0]
+            self.jrem[idx] = -np.log1p(-u) / self.lam[self.state[idx]]
 
     def _cp_magnitudes(self, idx):
         """Compound-jump magnitudes for paths in idx (grouped per state/part)."""
@@ -253,18 +252,19 @@ class _Engine:
         return mags
 
 
-def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, start_tag=0,
-         a=None, boundary_fn=None, gain=None, xbar0=None, jbar0=None,
-         z=None, t_end=None, trace=False, path_ids=None):
+def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, a=None,
+         boundary_fn=None, gain=None, xbar0=None, jbar0=None, z=None,
+         t_end=None, path_ids=None):
     """Core loop shared by all estimators; see the module docstring."""
     n = model.n_states
     if path_ids is None:
         path_ids = np.arange(cfg.n_paths)
-    eng = _Engine(model, cfg, path_ids, start_tag, x0, start_state,
+    eng = _Engine(model, cfg, path_ids, x0, start_state,
                   xbar0=xbar0, jbar0=jbar0)
     p = eng.p
     dt = cfg.dt
     horizon = cfg.horizon
+    t_stop = horizon if t_end is None else t_end
     t_freeze = math.inf if q <= 0 else -math.log(_FREEZE) / q
     out = {}
     if mode == "exit":
@@ -281,9 +281,9 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, start_tag=0,
         out["x_final"] = np.zeros(p)
     records = []
 
-    def record(i=0):
-        records.append((eng.t[i], eng.x[i], float(eng.state[i]),
-                        eng.xbar[i], float(eng.jbar[i])))
+    def record():
+        records.append((eng.t[0], eng.x[0], float(eng.state[0]),
+                        eng.xbar[0], float(eng.jbar[0])))
 
     def gain_check(idx, tau):
         """Stop paths in idx whose drawdown strictly exceeds the boundary."""
@@ -293,7 +293,7 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, start_tag=0,
         hit = (eng.xbar[idx] - eng.x[idx]) > bnd
         if hit.any():
             h_idx = idx[hit]
-            fval = _gain_values(gain, eng.xbar[h_idx], eng.jbar[h_idx])
+            fval = gain.f(eng.xbar[h_idx], eng.jbar[h_idx])
             out["contrib"][h_idx] = fval * np.exp(-q * tau[hit])
             out["stopped"][h_idx] = True
             eng.alive[h_idx] = False
@@ -310,13 +310,21 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, start_tag=0,
             down_seen[f_idx] = True
             out["exited"][f_idx] = True
 
+    check = {"exit": down_check, "gain": gain_check}.get(mode)
+
+    def settle(idx, mags):
+        """Apply the downward jumps mags to paths idx, run the mode's check
+        at the current time and return the paths still alive."""
+        eng.x[idx] -= mags
+        if check is not None:
+            check(idx, eng.t[idx])
+        return idx[eng.alive[idx]]
+
     if mode == "gain":
         # reference scale for the truncation rule: the gain can grow with
         # the running maximum, so the freeze criterion is on the whole
         # discounted payoff bound, not the discount factor alone
-        f_ref = float(_gain_values(gain, np.array([eng.xbar[0]]),
-                                   eng.jbar[:1])[0])
-        f_ref = max(f_ref, 1e-300)
+        f_ref = max(float(gain.f(eng.xbar[0], eng.jbar[0])), 1e-300)
         gain_check(np.flatnonzero(eng.alive), eng.t[eng.alive])
     if mode == "exit" and x0 >= a:
         out["c0"][:, start_state] = 1.0
@@ -327,17 +335,16 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, start_tag=0,
         out["c2"][:, start_state] = 1.0
         out["exited"][:] = True
         down_seen[:] = True
-    if trace and eng.alive.any():
+    if mode == "trace" and eng.alive.any():
         record()
 
     max_iter = int(4 * horizon / dt) + 100000
     for _ in range(max_iter):
-        act = np.flatnonzero(eng.alive & (eng.t < (t_end if t_end is not None
-                                                   else horizon) - 1e-12))
+        act = np.flatnonzero(eng.alive & (eng.t < t_stop - 1e-12))
         if act.size == 0:
             break
         st = eng.state[act]
-        cap = (t_end if t_end is not None else horizon) - eng.t[act]
+        cap = t_stop - eng.t[act]
         delta = np.minimum(eng.hold[act], eng.jrem[act])
         diffusive = eng.sigma[st] > 0
         delta = np.where(diffusive, np.minimum(delta, dt), delta)
@@ -357,38 +364,28 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, start_tag=0,
         eng.jrem[act] -= delta
 
         if mode == "exit":
-            # barrier reads: grid-time for diffusive segments, exact linear
-            # crossing time on drift-only segments
+            # barrier reads: grid time for diffusive segments, exact linear
+            # crossing time on drift-only segments (t_new - delta is not
+            # bitwise the old time, so the expression stays as written)
             up = x_new >= a
-            if up.any():
-                tau_up = t_new.copy()
-                bv_up = up & ~diffusive
-                if bv_up.any():
-                    tau_up[bv_up] = (eng.t[act][bv_up] - delta[bv_up]
-                                     + (a - x_old[bv_up]) / eng.drift[st[bv_up]])
-                u_idx = act[up]
-                disc = np.exp(-q * tau_up[up])
-                out["c0"][u_idx, eng.state[u_idx]] = disc
-                first = ~down_seen[u_idx]
-                out["c1"][u_idx[first], eng.state[u_idx][first]] = disc[first]
-                out["exited"][u_idx] = True
-                eng.alive[u_idx] = False
             down = (x_new < 0.0) & ~up
-            if down.any():
-                tau_dn = t_new.copy()
-                bv_dn = down & ~diffusive
-                if bv_dn.any():
-                    tau_dn[bv_dn] = (eng.t[act][bv_dn] - delta[bv_dn]
-                                     + (0.0 - x_old[bv_dn]) / eng.drift[st[bv_dn]])
-                down_check(act[down], tau_dn[down])
-        elif mode == "gain":
-            newmax = x_new >= eng.xbar[act]
-            if newmax.any():
-                m_idx = act[newmax]
-                eng.xbar[m_idx] = eng.x[m_idx]
-                eng.jbar[m_idx] = eng.state[m_idx]
-            live = act[eng.alive[act]]
-            gain_check(live, eng.t[live])
+            hit = up | down
+            if hit.any():
+                tau = t_new.copy()
+                bv = hit & ~diffusive
+                if bv.any():
+                    level = np.where(up[bv], a, 0.0)
+                    tau[bv] = (t_new[bv] - delta[bv]
+                               + (level - x_old[bv]) / eng.drift[st[bv]])
+                if up.any():
+                    u_idx = act[up]
+                    disc = np.exp(-q * tau[up])
+                    out["c0"][u_idx, eng.state[u_idx]] = disc
+                    first = ~down_seen[u_idx]
+                    out["c1"][u_idx[first], eng.state[u_idx][first]] = disc[first]
+                    out["exited"][u_idx] = True
+                    eng.alive[u_idx] = False
+                down_check(act[down], tau[down])
         elif mode == "mgf":
             done = t_new >= t_end - 1e-12
             if done.any():
@@ -396,49 +393,36 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, start_tag=0,
                 out["cm"][f_idx, eng.state[f_idx]] = np.exp(z * eng.x[f_idx])
                 out["x_final"][f_idx] = eng.x[f_idx]
                 eng.alive[f_idx] = False
-        elif trace:
-            eng.xbar[act] = np.maximum(eng.xbar[act], eng.x[act])
-            newmax = eng.x[act] >= eng.xbar[act]
-            eng.jbar[act[newmax]] = eng.state[act[newmax]]
+        else:  # gain and trace: running maximum and its state
+            m = act[x_new >= eng.xbar[act]]
+            eng.xbar[m] = eng.x[m]
+            eng.jbar[m] = eng.state[m]
+            if mode == "gain":
+                gain_check(act, t_new)
 
         # compound jumps at exact exponential times
         jmp = np.flatnonzero(eng.alive & (eng.jrem == 0.0))
         if jmp.size:
-            mags = eng._cp_magnitudes(jmp)
-            eng.x[jmp] -= mags
-            if mode == "exit":
-                down_check(jmp, eng.t[jmp])
-            elif mode == "gain":
-                gain_check(jmp, eng.t[jmp])
-            still = jmp[eng.alive[jmp]]
-            if still.size:
-                uj = eng.tape.take(still, 1)[:, 0]
-                eng.jrem[still] = -np.log1p(-uj) / eng.lam[eng.state[still]]
+            eng._next_jump(settle(jmp, eng._cp_magnitudes(jmp)))
 
-        # modulator switches at exact holding times; the modulator is
+        # modulator switches at exact holding times; the switch jump follows
+        # the law of the state being left, and the modulator is
         # right-continuous, so any crossing caused by the switch jump is
         # attributed to the entered state
         sw = np.flatnonzero(eng.alive & (eng.hold == 0.0))
         if sw.size:
             mags = eng._switch_magnitudes(sw)
-            eng.x[sw] -= mags
             eng.state[sw] = eng.tgt[sw]
-            if mode == "exit":
-                down_check(sw, eng.t[sw])
-            elif mode == "gain":
-                gain_check(sw, eng.t[sw])
-            still = sw[eng.alive[sw]]
-            if still.size:
-                eng._enter(still)
+            eng._enter(settle(sw, mags))
 
-        if trace and eng.alive[0]:
+        if mode == "trace" and eng.alive[0]:
             record()
 
         if mode == "gain" and q > 0:
             live = np.flatnonzero(eng.alive)
             if live.size:
-                bound = np.exp(-q * eng.t[live]) * _gain_values(
-                    gain, eng.xbar[live], eng.jbar[live])
+                bound = np.exp(-q * eng.t[live]) * gain.f(eng.xbar[live],
+                                                          eng.jbar[live])
                 dead = live[bound < _FREEZE * f_ref]
                 eng.alive[dead] = False
         else:
@@ -452,20 +436,11 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, start_tag=0,
         out["unresolved"] = (~out["exited"]) & (np.exp(-q * np.minimum(
             eng.t, horizon)) >= _RESOLVE) & (eng.t >= horizon - 1e-9)
     elif mode == "gain":
-        payoff_bound = np.exp(-q * eng.t) * _gain_values(gain, eng.xbar,
-                                                         eng.jbar)
+        payoff_bound = np.exp(-q * eng.t) * gain.f(eng.xbar, eng.jbar)
         out["discounted"] = (~out["stopped"]) & (payoff_bound < _RESOLVE * f_ref)
-    if trace:
+    elif mode == "trace":
         out["records"] = np.array(records)
     return out
-
-
-def _gain_values(gain, s_arr, j_arr):
-    if gain.kind == "shepp":
-        return np.exp(s_arr) * gain.h[j_arr]
-    return np.maximum(
-        np.exp(np.minimum(s_arr, gain.eps)) - gain.cap, 0.0
-    ) * gain.h[j_arr]
 
 
 def _boundary_callable(boundary, n_states):
@@ -495,16 +470,14 @@ def _boundary_callable(boundary, n_states):
 
 
 def sample_path(model: MapModel, config: SimConfig, path_index: int,
-                x0: float = 0.0, start_state: int = 0, start_tag: int = None):
+                x0: float = 0.0, start_state: int = 0):
     """One trajectory as an (M, 5) array of rows (t, X, J, Xbar, Jbar).
 
     Uses the same engine and draw protocol as the batch estimators, so the
-    trajectory is the one path path_index would follow inside any batch
-    with the same start_tag (default: the starting state).
+    trajectory is the one path path_index follows inside any batch that
+    starts in start_state.
     """
-    tag = start_state if start_tag is None else start_tag
     res = _run(model, config, "trace", x0=x0, start_state=start_state,
-               start_tag=tag, trace=True,
                path_ids=np.array([int(path_index)]))
     return res["records"]
 
@@ -538,8 +511,7 @@ def estimate_exit(model: MapModel, config: SimConfig, q: float, x: float,
     resolved = 0
     bad = 0
     for i in range(n):
-        res = _run(model, config, "exit", q=q, x0=x, a=a,
-                   start_state=i, start_tag=i)
+        res = _run(model, config, "exit", q=q, x0=x, a=a, start_state=i)
         for k in ("c0", "c1", "c2"):
             mean, se = _estimate(res[k])
             vals[k][i] = mean
@@ -575,8 +547,7 @@ def estimate_stopped_gain(model: MapModel, config: SimConfig, q: float,
         raise ValidationError("start needs x <= s")
     fn = _boundary_callable(boundary, model.n_states)
     res = _run(model, config, "gain", q=q, x0=x0, start_state=int(i0),
-               start_tag=int(i0), boundary_fn=fn, gain=gain,
-               xbar0=s0, jbar0=int(j0))
+               boundary_fn=fn, gain=gain, xbar0=s0, jbar0=int(j0))
     mean, se = _estimate(res["contrib"])
     n_eff = int(res["stopped"].sum()) + int(res["discounted"].sum())
     unresolved = config.n_paths - n_eff
@@ -605,8 +576,8 @@ def verify_mgf(model: MapModel, config: SimConfig, z: float, t: float):
     vals = np.zeros((n, n))
     ses = np.zeros((n, n))
     for i in range(n):
-        res = _run(model, config, "mgf", x0=0.0, start_state=i, start_tag=i,
-                   z=z, t_end=t)
+        res = _run(model, config, "mgf", x0=0.0, start_state=i, z=z,
+                   t_end=t)
         mean, se = _estimate(res["cm"])
         vals[i] = mean
         ses[i] = se

@@ -112,16 +112,16 @@ class GainSpec:
         return -math.inf
 
     def f(self, s, j):
+        """f(s, j); s and j may be scalars or arrays of one shape."""
         if self.kind == "shepp":
-            return math.exp(s) * self.h[j]
-        return max(math.exp(min(s, self.eps)) - self.cap, 0.0) * self.h[j]
+            return np.exp(s) * self.h[j]
+        return np.maximum(np.exp(np.minimum(s, self.eps)) - self.cap,
+                          0.0) * self.h[j]
 
     def f_prime(self, s, j):
-        if self.kind == "shepp":
-            return math.exp(s) * self.h[j]
-        if s >= self.eps or s <= math.log(self.cap):
+        if self.kind == "capped" and (s >= self.eps or s <= math.log(self.cap)):
             return 0.0
-        return math.exp(s) * self.h[j]
+        return np.exp(s) * self.h[j]
 
 
 # --- constant-boundary solver ------------------------------------------
@@ -207,7 +207,7 @@ class StopSolution:
         c = self.states[j].c
         y = c + min(x - s, 0.0)
         if y <= 0:
-            return self.gain.f(s, j)
+            return float(self.gain.f(s, j))
         h = self.gain.h[j]
         w_y, w_c = eval_w(self.rep, np.array([y, c]))
         z_y, z_c = eval_z_one(self.rep, np.array([y, c]))
@@ -337,7 +337,7 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
                 g_new = g
                 for m in range(n_sub):
                     sm = s + m * hsub
-                    k1 = rhs(sm, g_new)
+                    k1 = slope0 if m == 0 else rhs(sm, g_new)
                     k2 = rhs(sm + 0.5 * hsub, g_new + 0.5 * hsub * k1)
                     k3 = rhs(sm + 0.5 * hsub, g_new + 0.5 * hsub * k2)
                     k4 = rhs(sm + hsub, g_new + hsub * k3)
@@ -350,7 +350,7 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
                 break
             slope = (g_new - g) / step
             try:
-                bound = max(rhs(s, g), rhs(s + step, g_new))
+                bound = max(slope0, rhs(s + step, g_new))
                 if slope > bound + 1e-7 * (1.0 + abs(bound)):
                     msg = f"slope {slope:.6g} exceeds the admissible bound {bound:.6g}"
                     violations.append((float(s), "WeakInequality", msg))

@@ -1,6 +1,7 @@
 """Public surface: every export resolves, and removed names stay gone."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -17,6 +18,7 @@ REMOVED = {
     "mapstop.stopping": ["regime_report", "RegimeReport", "StateRegime", "value"],
     "mapstop.model": ["path_classes"],
     "mapstop.errors": ["ConstraintViolation", "DivisionNearZero"],
+    "mapstop.simulate": ["_gain_values"],
 }
 
 
@@ -37,6 +39,7 @@ def test_removed_names_are_gone(name):
 
 def test_removed_members_are_gone():
     from mapstop.scale import ScaleTable
+    from mapstop.simulate import sample_path
     from mapstop.stopping import GainSpec, StopSolution
 
     for attr in ("w_at", "z_at", "u_at", "_mat_at", "step"):
@@ -44,3 +47,4 @@ def test_removed_members_are_gone():
     assert not hasattr(GainSpec, "custom")
     assert not {"table", "valid"} & set(StopSolution.__dataclass_fields__)
     assert not {"s_grid", "f_table", "fp_table"} & set(GainSpec.__dataclass_fields__)
+    assert "start_tag" not in inspect.signature(sample_path).parameters
