@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import EigenFailure, QuadratureFailure, SingularScaleMatrix
+from .errors import EigenFailure, QuadratureFailure, SingularScaleMatrix, ValidationError
 from .model import MapModel
 from .scale import (
     SpectralRep,
@@ -62,7 +62,7 @@ class FirstPassageRep:
 
     def matrix(self, x: float, a: float):
         if x > a:
-            raise ValueError("requires x <= a")
+            raise ValidationError("requires x <= a")
         d = np.exp(-self.up_roots * (a - float(x)))
         H = self.up_vectors
         out = (H * d) @ np.linalg.inv(H)
@@ -119,7 +119,7 @@ def _w_inverse_at(rep: SpectralRep, a: float):
 def two_sided_up(rep: SpectralRep, x: float, a: float):
     """E_{(x,i)}[e^{-q tau_a^+}; tau_a^+ < tau_0^-, J = j] = W(x) W(a)^{-1}."""
     if x > a:
-        raise ValueError("requires x <= a")
+        raise ValidationError("requires x <= a")
     return eval_w(rep, x) @ _w_inverse_at(rep, a)
 
 
@@ -130,7 +130,7 @@ def two_sided_down(rep: SpectralRep, x: float, a: float):
     starts below the barrier, so the exit is immediate and undiscounted).
     """
     if x > a:
-        raise ValueError("requires x <= a")
+        raise ValidationError("requires x <= a")
     return eval_z(rep, x) - two_sided_up(rep, x, a) @ eval_z(rep, a)
 
 

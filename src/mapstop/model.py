@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailure, EigenFailure, PoleHit
+from .errors import BracketFailure, EigenFailure, PoleHit, ValidationError
 from .jumps import NONE_LAW, JumpLaw
 
 __all__ = [
@@ -289,7 +289,7 @@ def phi(model: MapModel, q: float) -> float:
     """Right inverse Phi(q) = sup{theta >= 0 : kappa(theta) = q}."""
     q = float(q)
     if q < 0:
-        raise ValueError("q must be >= 0")
+        raise ValidationError("q must be >= 0")
     hi = 1.0
     while kappa(model, hi) <= q:
         hi *= 2.0
@@ -298,6 +298,8 @@ def phi(model: MapModel, q: float) -> float:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # fixed point: further steps change nothing
+            break
         if kappa(model, mid) > q:
             hi = mid
         else:

@@ -472,9 +472,9 @@ def a_threshold(rep: SpectralRep, j: int, x_max: float = X_MAX_DEFAULT,
 class ScaleTable:
     """Uniform-grid tabulation of W, Z and their row sums.
 
-    Interpolation is cubic on the row sums (the solver differentiates
-    them) and linear on the matrix entries.  Queries left of 0 return the
-    defining extensions W = 0, Z = I.
+    The row sums are interpolated by one cubic spline (the solver
+    differentiates them); rows_at returns both.  Queries left of 0 return
+    the defining extensions W = 0, Z = I.
     """
 
     def __init__(self, q, grid, w, z, w_row, z_row, u=None):
@@ -488,8 +488,8 @@ class ScaleTable:
         # despite the cancellation in z_row - q w_row
         self.u = (self.z_row - self.q * self.w_row if u is None
                   else np.asarray(u, dtype=float))
-        self._w_row_sp = CubicSpline(self.grid, self.w_row, axis=0)
-        self._z_row_sp = CubicSpline(self.grid, self.z_row, axis=0)
+        self._rows_sp = CubicSpline(self.grid, np.hstack([self.w_row, self.z_row]),
+                                    axis=0)
 
     @property
     def n_states(self):
@@ -507,23 +507,17 @@ class ScaleTable:
         z = eval_z(rep, grid)
         return cls(rep.q, grid, w, z, w.sum(axis=2), z.sum(axis=2))
 
-    # interpolating queries ------------------------------------------------
+    # interpolating query --------------------------------------------------
 
-    def _check_range(self, x):
-        if np.any(np.asarray(x) > self.x_max + 1e-12):
+    def rows_at(self, x):
+        """([W 1](x), [Z 1](x)) from one spline call; ValueError beyond x_max."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x > self.x_max + 1e-12):
             raise ValueError("query beyond the tabulated range")
-
-    def w_row_at(self, x):
-        self._check_range(x)
-        x = np.asarray(x, dtype=float)
-        out = self._w_row_sp(np.clip(x, 0.0, self.x_max))
-        return np.where((x < 0)[..., None], 0.0, out) if out.ndim else out
-
-    def z_row_at(self, x):
-        self._check_range(x)
-        x = np.asarray(x, dtype=float)
-        out = self._z_row_sp(np.clip(x, 0.0, self.x_max))
-        return np.where((x < 0)[..., None], 1.0, out) if out.ndim else out
+        n = self.n_states
+        out = self._rows_sp(np.clip(x, 0.0, self.x_max))
+        out = np.where((x < 0)[..., None], np.repeat([0.0, 1.0], n), out)
+        return out[..., :n], out[..., n:]
 
     # CSV persistence ------------------------------------------------------
 

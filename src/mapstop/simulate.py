@@ -278,7 +278,6 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, a=None,
         out["stopped"] = np.zeros(p, dtype=bool)
     elif mode == "mgf":
         out["cm"] = np.zeros((p, n))
-        out["x_final"] = np.zeros(p)
     records = []
 
     def record():
@@ -391,7 +390,6 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, a=None,
             if done.any():
                 f_idx = act[done]
                 out["cm"][f_idx, eng.state[f_idx]] = np.exp(z * eng.x[f_idx])
-                out["x_final"][f_idx] = eng.x[f_idx]
                 eng.alive[f_idx] = False
         else:  # gain and trace: running maximum and its state
             m = act[x_new >= eng.xbar[act]]

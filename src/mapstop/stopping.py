@@ -33,6 +33,7 @@ from .errors import (
 )
 from .model import MapModel, kappa
 from .scale import (
+    STEP_DEFAULT,
     X_MAX_DEFAULT,
     ScaleTable,
     SpectralRep,
@@ -57,13 +58,11 @@ __all__ = [
     "ZERO_BOUNDARY",
     "INTERIOR_ROOT",
     "NO_ROOT_ON_RANGE",
-    "UNBOUNDED",
 ]
 
 ZERO_BOUNDARY = "ZeroBoundary"
 INTERIOR_ROOT = "InteriorRoot"
 NO_ROOT_ON_RANGE = "NoRootOnRange"
-UNBOUNDED = "Unbounded"
 
 DIV_FLOOR = 1e-10
 
@@ -236,7 +235,8 @@ def solve_shepp(model: MapModel, q: float, h=None,
             f"q = {q} <= kappa(1) = {k1:.6g}: the stopping value is infinite"
         )
     rep = spectral_decompose(model, q)
-    table = ScaleTable.from_rep(rep, x_max=x_max)
+    grid = np.arange(0.0, x_max + 0.5 * STEP_DEFAULT, STEP_DEFAULT)
+    u = eval_z_one(rep, grid) - q * eval_w_one(rep, grid)
     w0 = np.diag(w_zero_plus(model, q))
     states = []
     for j in range(model.n_states):
@@ -244,7 +244,7 @@ def solve_shepp(model: MapModel, q: float, h=None,
         if w0[j] >= 1.0 / q:
             states.append(StateSolution(j, ZERO_BOUNDARY, 0.0, a_j))
             continue
-        c_j = _first_crossing(table.grid, table.u[:, j] <= 0.0,
+        c_j = _first_crossing(grid, u[:, j] <= 0.0,
                               lambda x: u_fn(rep, j, x) <= 0.0)
         if c_j is None:
             states.append(StateSolution(j, NO_ROOT_ON_RANGE, math.nan, a_j))
@@ -286,12 +286,13 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
     Fourth-order Runge-Kutta on a uniform s-grid; scale-function row sums
     come from a tabulation on [0, 5] (cubic interpolation).  Every accepted
     step is checked against the weaker sufficient inequality for the
-    stopped supermartingale property (the computed slope may not exceed
-    the right-hand side) and against g <= a(j); violations are recorded on
-    the curve with their (s, code, detail).  A step that leaves the table
-    (BlowUp) or divides by q [W 1]_j(g) < 1e-10 (DivisionNearZero) ends
-    the curve early.  Stiff right-hand sides engage sub-steps and flag the
-    curve.  Returns a tuple of BoundaryCurve.
+    stopped supermartingale property (the slope may not exceed the larger
+    right-hand side at the step's two grid points; the one at the next
+    point is the next step's first RK stage) and against g <= a(j);
+    violations are recorded on the curve with their (s, code, detail).
+    A step that leaves the table (BlowUp) or divides by q [W 1]_j(g) <
+    1e-10 (DivisionNearZero) ends the curve early.  Stiff right-hand sides
+    engage sub-steps and flag the curve.  Returns a tuple of BoundaryCurve.
     """
     q = float(q)
     s0, s1 = float(s_range[0]), float(s_range[1])
@@ -315,21 +316,23 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
         def rhs(s, g, j=j):
             if g > X_MAX_DEFAULT:
                 raise _Abort("BlowUp", f"g = {g:.6g} beyond the table range")
-            denom = q * float(table.w_row_at(g)[j])
+            w1, z1 = table.rows_at(g)
+            denom = q * float(w1[j])
             if denom < DIV_FLOOR:
                 raise _Abort(
                     "DivisionNearZero", f"q [W 1]_j(g) = {denom:.3e} at g = {g:.6g}"
                 )
-            z1 = float(table.z_row_at(g)[j])
-            return 1.0 - gain.f_prime(s, j) / gain.f(s, j) * z1 / denom
+            return 1.0 - gain.f_prime(s, j) / gain.f(s, j) * float(z1[j]) / denom
 
         g = float(init[j])
         g_path = [g]
         completed = True
+        slope0 = None
         for k in range(n_steps):
             s = s_vals[k]
             try:
-                slope0 = rhs(s, g)
+                if slope0 is None:
+                    slope0 = rhs(s, g)
                 n_sub = int(min(1000, max(1, math.ceil(abs(slope0) * step / 5e-4))))
                 if n_sub > 1:
                     stiff = True
@@ -350,17 +353,19 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
                 break
             slope = (g_new - g) / step
             try:
-                bound = max(slope0, rhs(s + step, g_new))
+                slope1 = rhs(s_vals[k + 1], g_new)
+                bound = max(slope0, slope1)
                 if slope > bound + 1e-7 * (1.0 + abs(bound)):
                     msg = f"slope {slope:.6g} exceeds the admissible bound {bound:.6g}"
                     violations.append((float(s), "WeakInequality", msg))
             except _Abort:
-                pass
+                slope1 = None
             if g_new > a_j + 1e-10:
                 msg = f"g = {g_new:.6g} exceeds a(j) = {a_j:.6g}"
                 violations.append((float(s + step), "ConstraintViolation", msg))
             g = g_new
             g_path.append(g)
+            slope0 = slope1
         curves.append(BoundaryCurve(
             state=j,
             s=s_vals[: len(g_path)],

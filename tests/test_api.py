@@ -15,7 +15,8 @@ MODULES = ["mapstop"] + [
 
 REMOVED = {
     "mapstop.scale": ["DiagLimit", "w_prime_zero_plus"],
-    "mapstop.stopping": ["regime_report", "RegimeReport", "StateRegime", "value"],
+    "mapstop.stopping": ["regime_report", "RegimeReport", "StateRegime", "value",
+                         "UNBOUNDED"],
     "mapstop.model": ["path_classes"],
     "mapstop.errors": ["ConstraintViolation", "DivisionNearZero"],
     "mapstop.simulate": ["_gain_values"],
@@ -42,7 +43,8 @@ def test_removed_members_are_gone():
     from mapstop.simulate import sample_path
     from mapstop.stopping import GainSpec, StopSolution
 
-    for attr in ("w_at", "z_at", "u_at", "_mat_at", "step"):
+    for attr in ("w_at", "z_at", "u_at", "_mat_at", "step",
+                 "w_row_at", "z_row_at", "_check_range"):
         assert not hasattr(ScaleTable, attr)
     assert not hasattr(GainSpec, "custom")
     assert not {"table", "valid"} & set(StopSolution.__dataclass_fields__)

@@ -130,6 +130,11 @@ def test_exit_codes(tmp_path):
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["simulate", "ivanovs2", "--functional", "id0",
                      "--dt", "0.005", "--out", str(tmp_path)]) == 2
+    # a negative discount rate and a start above the upper barrier are bad input
+    assert cli.main(["kappa", "ivanovs2", "--q", "-1",
+                     "--out", str(tmp_path)]) == 2
+    assert cli.main(["exit", "ivanovs2", "--q", "1.5", "--x", "2", "--a", "1",
+                     "--out", str(tmp_path)]) == 2
     # scale functions overflow on [0, 200]: numerical failure, exit 3
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["shepp", "ivanovs2", "--q", "1.8", "--xmax", "200",

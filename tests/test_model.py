@@ -80,6 +80,38 @@ def test_phi_is_smallest_positive_root(ivanovs2):
     assert abs(det(p)) < 1e-6 * max(1.0, abs(det(zs[0])))
 
 
+def test_phi_stops_at_bisection_fixed_point(ivanovs2, wiener2, monkeypatch):
+    """phi stops once the midpoint repeats an end, bit for bit the value
+    of the full 200-step bisection, in well under 100 kappa calls."""
+    import mapstop.model
+
+    def reference(model, q):
+        hi = 1.0
+        while kappa(model, hi) <= q:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if kappa(model, mid) > q:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    calls = []
+
+    def counting_kappa(model, theta):
+        calls.append(theta)
+        return kappa(model, theta)
+
+    monkeypatch.setattr(mapstop.model, "kappa", counting_kappa)
+    for model in (ivanovs2, wiener2):
+        for q in (0.3, 1.8, 17.0):
+            calls.clear()
+            assert phi(model, q) == reference(model, q)  # reference: unpatched kappa
+            assert len(calls) < 100
+
+
 def test_stationary_law(ivanovs2):
     pi = stationary_law(ivanovs2)
     assert abs(pi.sum() - 1.0) < 1e-12

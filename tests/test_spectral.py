@@ -159,8 +159,19 @@ def test_scale_table_interpolation(ivanovs2):
     rep = spectral_decompose(ivanovs2, 1.5)
     table = ScaleTable.from_rep(rep, x_max=2.0, step=1e-3)
     x = 0.7613
-    assert np.abs(table.w_row_at(x) - eval_w_one(rep, x)).max() < 1e-8
-    assert np.abs(table.z_row_at(x) - eval_z_one(rep, x)).max() < 1e-8
+    w_row, z_row = table.rows_at(x)
+    assert np.abs(w_row - eval_w_one(rep, x)).max() < 1e-8
+    assert np.abs(z_row - eval_z_one(rep, x)).max() < 1e-8
+    # a vector query; left of 0 the extensions W = 0, Z = I hold exactly
+    xs = np.array([0.7613, 1.25, -0.3])
+    w_rows, z_rows = table.rows_at(xs)
+    assert np.abs(w_rows[:2] - eval_w_one(rep, xs[:2])).max() < 1e-8
+    assert np.abs(z_rows[:2] - eval_z_one(rep, xs[:2])).max() < 1e-8
+    for w_left, z_left in (table.rows_at(-0.3), (w_rows[2], z_rows[2])):
+        assert np.array_equal(w_left, np.zeros(2))
+        assert np.array_equal(z_left, np.ones(2))
+    with pytest.raises(ValueError):
+        table.rows_at(2.5)
 
 
 def test_decompose_rejects_nonpositive_q(ivanovs2):
