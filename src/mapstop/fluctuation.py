@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import EigenFailure, QuadratureFailure, SingularScaleMatrix, ValidationError
-from .model import MapModel
+from .model import MapModel, big_psi
 from .scale import (
     SpectralRep,
     eval_w,
@@ -73,21 +73,19 @@ class FirstPassageRep:
 
 
 def first_passage_rep(model: MapModel, q: float) -> FirstPassageRep:
-    """Collect the N positive-real-part roots with their null vectors."""
-    from .model import big_psi
+    """Collect the N positive-real-part roots with their null vectors.
 
+    Raises EigenFailure when a vector h_k misses its root, i.e.
+    |(Psi(zeta_k) - q I) h_k| > 1e-8 (1 + |Psi(zeta_k) - q I|).
+    """
     rep = spectral_decompose(model, q)
-    n = model.n_states
-    pos = rep.roots[rep.roots.real > 0]
-    H = np.empty((n, n), dtype=complex)
-    for k, z in enumerate(pos):
-        A = big_psi(model, z) - q * np.eye(n)
-        _, s, vh = np.linalg.svd(A)
-        h = vh[-1].conj()
-        if s[-1] > 1e-8 * (1.0 + s[0]):
+    up = rep.roots.real > 0
+    pos = rep.roots[up]
+    H = rep.vectors[up].T
+    for z, h in zip(pos, H.T):
+        A = big_psi(model, z) - q * np.eye(model.n_states)
+        if np.abs(A @ h).max() > 1e-8 * (1.0 + np.abs(A).max()):
             raise EigenFailure(f"no null vector at root {z}")
-        h = h / h[np.argmax(np.abs(h))]
-        H[:, k] = h
     return FirstPassageRep(q=float(q), up_roots=pos, up_vectors=H)
 
 

@@ -3,7 +3,8 @@
 A law describes a random variable U <= 0 whose magnitude is Erlang,
 exponential (Erlang with shape 1), or a finite mixture of Erlangs.  The
 transform G(z) = E[exp(z U)] is then rational in z with all poles on the
-negative real axis, which is what the spectral scale-matrix backend needs.
+negative real axis, and each component is a run of exponential stages,
+which is how the spectral scale-matrix backend embeds the jump as phases.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 __all__ = ["JumpLaw", "NONE_LAW"]
 
@@ -84,32 +84,6 @@ class JumpLaw:
         if not self.components:
             return np.ones_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 1.0 + 0j
         return sum(w * (mu / (mu + z)) ** k for w, k, mu in self.components)
-
-    def transform_deriv(self, z):
-        """dG/dz."""
-        if not self.components:
-            return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0.0 + 0j
-        return sum(-w * k / (mu + z) * (mu / (mu + z)) ** k for w, k, mu in self.components)
-
-    def rational(self):
-        """Return (numerator Polynomial, denominator factors) of G.
-
-        The denominator is prod (mu + z)^k over distinct rates with the
-        max multiplicity; the numerator is assembled against it exactly.
-        """
-        if not self.components:
-            return Polynomial([1.0]), ()
-        den = self.poles()  # [(-mu, mult)]
-        num = Polynomial([0.0])
-        for w, k, mu in self.components:
-            term = Polynomial([w * mu ** k])
-            for loc, mult in den:
-                extra = mult - (k if loc == -mu else 0)
-                if extra:
-                    term = term * Polynomial([-loc, 1.0]) ** extra
-            num = num + term
-        factors = tuple((-loc, mult) for loc, mult in den)  # (mu, mult)
-        return num, factors
 
     # --- density / tails (magnitude parameterization) -----------------
 

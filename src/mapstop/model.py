@@ -28,7 +28,6 @@ __all__ = [
     "MapModel",
     "Diagnostic",
     "big_psi",
-    "big_psi_deriv",
     "kappa",
     "perron_vector",
     "phi",
@@ -79,12 +78,6 @@ class LevyComponent:
         out = self.drift * z + 0.5 * self.sigma2 * z * z
         for r, law in self.jumps:
             out = out + r * (law.transform(z) - 1.0)
-        return out
-
-    def psi_deriv(self, z):
-        out = self.drift + self.sigma2 * z
-        for r, law in self.jumps:
-            out = out + r * law.transform_deriv(z)
         return out
 
     def poles(self):
@@ -216,21 +209,6 @@ def big_psi(model: MapModel, z):
                 qij = model.q_matrix[i, j]
                 if qij != 0.0:
                     out[i, j] = qij * model.switch_jumps[i][j].transform(z)
-    return out
-
-
-def big_psi_deriv(model: MapModel, z):
-    """Entrywise analytic derivative dPsi/dz."""
-    _check_pole(model, z)
-    n = model.n_states
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        out[i, i] = model.components[i].psi_deriv(z)
-        for j in range(n):
-            if i != j:
-                qij = model.q_matrix[i, j]
-                if qij != 0.0:
-                    out[i, j] = qij * model.switch_jumps[i][j].transform_deriv(z)
     return out
 
 

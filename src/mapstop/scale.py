@@ -4,10 +4,13 @@ W^(q) is defined through its matrix Laplace transform
 
     integral_0^inf e^{-beta x} W^(q)(x) dx = (Psi(beta) - q I)^{-1},
 
-valid for beta with real part beyond every singularity.  Because all jump
-transforms in this package are rational, the right-hand side is a rational
-matrix in beta; clearing denominators row by row turns det(Psi(z) - q I)
-into a polynomial whose roots zeta_k drive the explicit inversion
+valid for beta with real part beyond every singularity.  Every jump in
+this package is a mixture of Erlangs, so it can be replaced by a run
+through phases in which X falls at unit rate (the fluid embedding of
+phase-type jumps).  The embedded process has a quadratic matrix exponent
+whose Schur complement on the phases is Psi(z) - q I; linearised, it is
+one generalized eigenproblem whose eigenvalues zeta_k and eigenvectors
+give the explicit inversion
 
     W^(q)(x) = sum_k R_k e^{zeta_k x},   x >= 0,
 
@@ -18,7 +21,8 @@ with residue matrices R_k.  Z^(q) follows by integration,
 One kernel evaluates every such sum (W, Z, their row sums and the
 x-derivatives); it raises BlowUp when e^{zeta_k x} overflows.  Phi(q) is
 the smallest positive real root; spectral_decompose raises EigenFailure
-when the Perron root kappa does not cross q there.
+when the Perron root kappa does not cross q there, or when sum_k R_k
+misses the exact W^(q)(0+).
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eig
 
 from .errors import (
     BlowUp,
@@ -38,7 +42,7 @@ from .errors import (
     RootCountMismatch,
     ValidationError,
 )
-from .model import MapModel, big_psi, big_psi_deriv, kappa
+from .model import MapModel, kappa
 
 __all__ = [
     "SpectralRep",
@@ -56,112 +60,64 @@ __all__ = [
 ]
 
 ROOT_SEP_TOL = 1e-7
-SPURIOUS_TOL = 1e-6
+MODE_TOL = 1e-10
+W0_TOL = 1e-8
 IMAG_GUARD = 1e-6
 X_MAX_DEFAULT = 5.0
 STEP_DEFAULT = 1e-3
 
 
-# --- rational-entry bookkeeping ---------------------------------------
-#
-# An entry of A(z) = Psi(z) - q I is held as (poly, factors): the rational
-# function poly(z) / prod (z + mu)^mult.  Factor lists are merged with a
-# small tolerance so equal rates coming from different laws share a pole.
+# --- phase-type embedding ---------------------------------------------
 
 
-def _merge_factor(bag, mu, mult):
-    for f in bag:
-        if abs(f[0] - mu) <= 1e-9 * (1.0 + abs(mu)):
-            f[1] = max(f[1], mult)
-            return
-    bag.append([mu, mult])
+def _phase_embedding(model: MapModel, q: float):
+    """First-order pencil (A, B) whose eigenvalues are the transform poles.
 
+    The space holds the N modulator states and one phase per Erlang stage
+    of every jump part and every switch-jump law.  In a phase X falls at
+    unit rate and the phase moves on at rate mu; the last stage returns to
+    the source state of a jump part, or enters the target state of a
+    switch.  With S the Gaussian variances, D the drifts (-1 on phases), G
+    the generator and Delta 1 on the modulator states,
 
-def _factor_poly(factors):
-    p = Polynomial([1.0])
-    for mu, mult in factors:
-        p = p * Polynomial([mu, 1.0]) ** int(mult)
-    return p
+        P(z) = S z^2 / 2 + D z + (G - q Delta),
 
-
-def _complement_poly(common, factors):
-    """Polynomial prod over common of (z+mu)^(mult - mult_in_factors)."""
-    p = Polynomial([1.0])
-    for mu, mult in common:
-        have = 0
-        for mu2, m2 in factors:
-            if abs(mu2 - mu) <= 1e-9 * (1.0 + abs(mu)):
-                have = m2
-                break
-        if mult - have:
-            p = p * Polynomial([mu, 1.0]) ** (mult - have)
-    return p
-
-
-def _rat_add(a, b):
-    p1, f1 = a
-    p2, f2 = b
-    bag = [list(f) for f in f1]
-    for mu, m in f2:
-        _merge_factor(bag, mu, m)
-    common = tuple((mu, m) for mu, m in bag)
-    return (
-        p1 * _complement_poly(common, f1) + p2 * _complement_poly(common, f2),
-        common,
-    )
-
-
-def _entry_rational(model: MapModel, q: float, i: int, j: int):
-    if i == j:
-        comp = model.components[i]
-        rat = (
-            Polynomial([model.q_matrix[i, i] - q, comp.drift, 0.5 * comp.sigma2]),
-            (),
-        )
+    whose Schur complement on the phases is Psi(z) - q I.  Setting
+    w = z v on the Gaussian states gives A + z B, with
+    P(z)^{-1} the leading block of (A + z B)^{-1}.
+    """
+    n = model.n_states
+    Q = model.q_matrix
+    top = np.array(Q, dtype=float)
+    routes = []  # (source, target, entry rate, stages, stage rate)
+    for i, comp in enumerate(model.components):
         for r, law in comp.jumps:
-            num, factors = law.rational()
-            den = _factor_poly(factors)
-            rat = _rat_add(rat, ((num - den) * r, factors))
-        return rat
-    qij = model.q_matrix[i, j]
-    if qij == 0.0:
-        return Polynomial([0.0]), ()
-    num, factors = model.switch_jumps[i][j].rational()
-    return num * qij, factors
-
-
-def _poly_det(mat):
-    """Determinant of a square matrix of Polynomials, memoized expansion."""
-    n = len(mat)
-    memo = {}
-
-    def det(cols):
-        r = n - len(cols)
-        if not cols:
-            return Polynomial([1.0])
-        if cols in memo:
-            return memo[cols]
-        out = Polynomial([0.0])
-        for idx, c in enumerate(cols):
-            sub = det(cols[:idx] + cols[idx + 1:])
-            term = mat[r][c] * sub
-            out = out + term if idx % 2 == 0 else out - term
-        memo[cols] = out
-        return out
-
-    return det(tuple(range(n)))
-
-
-def _adjugate(M):
-    n = M.shape[0]
-    if n == 1:
-        return np.ones((1, 1), dtype=M.dtype)
-    adj = np.empty_like(M)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
-            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
+            top[i, i] -= r
+            routes += [(i, i, r * w, k, mu) for w, k, mu in law.components]
+        for j, law in enumerate(model.switch_jumps[i]):
+            if not law.is_none:
+                top[i, j] = 0.0
+                routes += [(i, j, Q[i, j] * w, k, mu) for w, k, mu in law.components]
+    m = n + sum(k for _, _, _, k, _ in routes)
+    gauss = [i for i, c in enumerate(model.components) if c.sigma2 > 0]
+    extra = m + np.arange(len(gauss))
+    A = np.zeros((m + len(gauss),) * 2)
+    A[:n, :n] = top - q * np.eye(n)
+    p = n
+    for src, tgt, rate, k, mu in routes:
+        A[src, p] += rate
+        for s in range(p, p + k):
+            A[s, s] = -mu
+            A[s, s + 1 if s + 1 < p + k else tgt] = mu
+        p += k
+    A[extra, extra] = 1.0
+    drift = np.full(m, -1.0)
+    drift[:n] = [c.drift for c in model.components]
+    B = np.zeros_like(A)
+    B[:m, :m] = np.diag(drift)
+    B[gauss, extra] = [0.5 * model.components[i].sigma2 for i in gauss]
+    B[extra, gauss] = -1.0
+    return A, B
 
 
 # --- spectral representation ------------------------------------------
@@ -175,6 +131,10 @@ class SpectralRep:
         sorted by descending real part.  Exactly N of them have positive
         real part (asserted at construction).
     residues : complex (K, N, N), R_k = lim (beta - zeta_k)(Psi - q)^{-1}.
+    root_sums : complex (K, N), the row sums R_k 1; entries below
+        64 eps max|R_k| are set to 0, where they cancel analytically.
+    vectors : complex (K, N), null vectors h_k of Psi(zeta_k) - q I,
+        scaled so the entry of largest modulus is 1.
     phi_q : the positive real root equal to the Perron right inverse.
     q_matrix : modulator rate matrix, kept for Z^(q).
     """
@@ -182,6 +142,8 @@ class SpectralRep:
     q: float
     roots: np.ndarray
     residues: np.ndarray
+    root_sums: np.ndarray
+    vectors: np.ndarray
     phi_q: float
     q_matrix: np.ndarray
 
@@ -189,25 +151,23 @@ class SpectralRep:
     def n_states(self) -> int:
         return self.q_matrix.shape[0]
 
-    @property
-    def root_sums(self):
-        """Row sums R_k 1 as a (K, N) array."""
-        return self.residues.sum(axis=2)
-
 
 def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
     """Locate the transform poles in beta and their residue matrices.
 
-    The determinant of A(z) = Psi(z) - q I is expanded exactly after
-    clearing each row's rational denominators, so the roots come from a
-    single companion-matrix eigenproblem plus a Newton polish.  Residues
-    use the cofactor identity R = adj(A) / tr(adj(A) A') at each root.
+    One generalized eigenproblem -A x = z B x of the phase-type pencil
+    (_phase_embedding) yields every root z_k with right and left vectors
+    x_k, y_k.  The residue is R_k = x_k[:N] y_k[:N]^H / (y_k^H B x_k) and
+    the null vector is x_k[:N].  A mode whose right vector vanishes on the
+    modulator states (max |x_k[:N]| <= 1e-10) lives inside the phases at a
+    transform pole and is dropped, as is an infinite eigenvalue.
 
     phi_q is the smallest positive real root: any other positive real zero
     z has kappa(z) > q, so it lies above Phi(q).  Two Perron roots confirm
     it, kappa(phi_q - eps) <= q < kappa(phi_q + eps) with
     eps = 1e-9 (1 + phi_q); EigenFailure is raised otherwise, or when no
-    positive real root exists.
+    positive real root exists, or when sum_k R_k = W(0+) misses
+    w_zero_plus by more than 1e-8 (1 + max|w_zero_plus|).
 
     Raises DegenerateRoots when two roots come closer than 1e-7 (perturb q
     slightly in that case) and RootCountMismatch when the number of roots
@@ -217,40 +177,12 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
     if q <= 0:
         raise ValidationError("spectral decomposition requires q > 0")
     n = model.n_states
-    rows = [[_entry_rational(model, q, i, j) for j in range(n)] for i in range(n)]
-    cleared = []
-    for i in range(n):
-        bag = []
-        for _, f in rows[i]:
-            for mu, m in f:
-                _merge_factor(bag, mu, m)
-        common = tuple((mu, m) for mu, m in bag)
-        cleared.append(
-            [rows[i][j][0] * _complement_poly(common, rows[i][j][1]) for j in range(n)]
-        )
-    p = _poly_det(cleared)
-    coef = p.coef
-    scale = np.abs(coef).max()
-    p = Polynomial(np.where(np.abs(coef) > 1e-13 * scale, coef, 0.0)).trim(1e-13 * scale)
-    if p.degree() < 1:
-        raise RootCountMismatch("determinant polynomial is constant")
-    dp = p.deriv()
-    raw = p.roots()
-    polished = []
-    for z in raw:
-        for _ in range(3):
-            d = dp(z)
-            if d == 0:
-                break
-            z = z - p(z) / d
-        polished.append(z)
-    pole_locs = model.transform_poles()
-    roots = [
-        z
-        for z in polished
-        if not any(abs(z - loc) <= SPURIOUS_TOL * (1.0 + abs(loc)) for loc in pole_locs)
-    ]
-    roots = np.array(sorted(roots, key=lambda z: (-z.real, z.imag)), dtype=complex)
+    A, B = _phase_embedding(model, q)
+    vals, left, right = eig(-A, B, left=True, right=True)
+    # a zero-drift bounded-variation state makes B singular: roots at infinity
+    keep = np.flatnonzero(np.isfinite(vals) & (np.abs(right[:n]).max(axis=0) > MODE_TOL))
+    keep = sorted(keep, key=lambda k: (-vals[k].real, vals[k].imag))
+    roots, x, y = vals[keep], right[:, keep], left[:, keep]
     # snap numerically-real roots so their residues stay exactly real
     real_mask = np.abs(roots.imag) <= 1e-10 * (1.0 + np.abs(roots))
     roots = np.where(real_mask, roots.real + 0j, roots)
@@ -266,17 +198,15 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
         raise RootCountMismatch(
             f"{n_pos} roots with positive real part, expected {n}"
         )
-    residues = np.empty((len(roots), n, n), dtype=complex)
-    for k, z in enumerate(roots):
-        A = big_psi(model, z) - q * np.eye(n)
-        adj = _adjugate(A)
-        denom = np.trace(adj @ big_psi_deriv(model, z))
-        if denom == 0:
-            raise DegenerateRoots(f"vanishing residue denominator at root {z}")
-        R = adj / denom
-        if real_mask[k]:
-            R = R.real + 0j
-        residues[k] = R
+    norm = np.einsum("ik,ij,jk->k", y.conj(), B, x)  # y_k^H B x_k
+    residues = np.einsum("ik,jk->kij", x[:n], y[:n].conj()) / norm[:, None, None]
+    residues = np.where(real_mask[:, None, None], residues.real + 0j, residues)
+    root_sums = residues.sum(axis=2)
+    peak = np.abs(residues).max(axis=(1, 2))
+    root_sums[np.abs(root_sums) <= 64 * np.finfo(float).eps * peak[:, None]] = 0.0
+    h = x[:n].T
+    h = h / h[np.arange(len(h)), np.abs(h).argmax(axis=1)][:, None]
+    vectors = np.where(real_mask[:, None], h.real + 0j, h)
     cand = roots.real[real_mask & (roots.real > 0)]
     if not cand.size:
         raise EigenFailure("no positive real root to match the Perron inverse")
@@ -286,10 +216,16 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
         raise EigenFailure(
             f"kappa does not cross q = {q} at the smallest positive root {phi_q}"
         )
+    w0 = w_zero_plus(model, q)
+    gap = np.abs(residues.sum(axis=0) - w0).max()
+    if gap > W0_TOL * (1.0 + np.abs(w0).max()):
+        raise EigenFailure(f"sum of residues misses W(0+) by {gap:.2e}")
     return SpectralRep(
         q=q,
         roots=roots,
         residues=residues,
+        root_sums=root_sums,
+        vectors=vectors,
         phi_q=phi_q,
         q_matrix=np.array(model.q_matrix, dtype=float),
     )
@@ -502,6 +438,10 @@ class ScaleTable:
     @classmethod
     def from_rep(cls, rep: SpectralRep, x_max: float = X_MAX_DEFAULT,
                  step: float = STEP_DEFAULT) -> "ScaleTable":
+        """Tabulate on [0, x_max] at the given step; ValidationError unless
+        0 < step <= x_max."""
+        if not 0 < step <= x_max:
+            raise ValidationError("scale table needs 0 < step <= x_max")
         grid = np.arange(0.0, x_max + 0.5 * step, step)
         w = eval_w(rep, grid)
         z = eval_z(rep, grid)

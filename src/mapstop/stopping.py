@@ -298,6 +298,8 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
     s0, s1 = float(s_range[0]), float(s_range[1])
     if s1 <= s0:
         raise ValidationError("empty s-range")
+    if not 0 < step <= s1 - s0:
+        raise ValidationError("step must lie in (0, s1 - s0]")
     if s0 <= gain.s_min:
         raise ValidationError("s-range starts where the gain vanishes")
     init = np.asarray(init, dtype=float)

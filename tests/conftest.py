@@ -16,14 +16,16 @@ def wiener2():
     return load_model("wiener2")
 
 
-def random_model(seed):
-    """Small random two- or three-state model with valid structure.
+def random_model(seed, n=None):
+    """Small random model with valid structure, of n states or, by default,
+    two or three.
 
     Drifts are biased upward so kappa'(0) tends to stay positive and the
     examples remain numerically tame.
     """
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 4))
+    if n is None:
+        n = int(rng.integers(2, 4))
     Q = rng.uniform(0.3, 2.0, size=(n, n))
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))

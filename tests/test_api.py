@@ -14,10 +14,10 @@ MODULES = ["mapstop"] + [
 ]
 
 REMOVED = {
-    "mapstop.scale": ["DiagLimit", "w_prime_zero_plus"],
+    "mapstop.scale": ["DiagLimit", "w_prime_zero_plus", "SPURIOUS_TOL"],
     "mapstop.stopping": ["regime_report", "RegimeReport", "StateRegime", "value",
                          "UNBOUNDED"],
-    "mapstop.model": ["path_classes"],
+    "mapstop.model": ["path_classes", "big_psi_deriv"],
     "mapstop.errors": ["ConstraintViolation", "DivisionNearZero"],
     "mapstop.simulate": ["_gain_values"],
 }
@@ -39,6 +39,8 @@ def test_removed_names_are_gone(name):
 
 
 def test_removed_members_are_gone():
+    from mapstop.jumps import JumpLaw
+    from mapstop.model import LevyComponent
     from mapstop.scale import ScaleTable
     from mapstop.simulate import sample_path
     from mapstop.stopping import GainSpec, StopSolution
@@ -50,3 +52,5 @@ def test_removed_members_are_gone():
     assert not {"table", "valid"} & set(StopSolution.__dataclass_fields__)
     assert not {"s_grid", "f_table", "fp_table"} & set(GainSpec.__dataclass_fields__)
     assert "start_tag" not in inspect.signature(sample_path).parameters
+    assert not {"rational", "transform_deriv"} & set(dir(JumpLaw))
+    assert not hasattr(LevyComponent, "psi_deriv")

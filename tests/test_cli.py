@@ -3,6 +3,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from mapstop import cli
 from mapstop.scale import ScaleTable
@@ -139,6 +140,20 @@ def test_exit_codes(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["shepp", "ivanovs2", "--q", "1.8", "--xmax", "200",
                          "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["scale", "ivanovs2", "--q", "1.5", "--xmax", "-1"],
+    ["scale", "ivanovs2", "--q", "1.5", "--step", "-0.1"],
+    ["scale", "ivanovs2", "--q", "1.5", "--step", "0"],
+    ["boundary", "ivanovs2", "--q", "1.8", "--step", "0"],
+    ["boundary", "ivanovs2", "--q", "1.8", "--s0", "0.2", "--s1", "0.5",
+     "--step", "1"],
+], ids=["scale_xmax_negative", "scale_step_negative", "scale_step_zero",
+        "boundary_step_zero", "boundary_step_beyond_range"])
+def test_bad_grid_is_validation_error(tmp_path, argv):
+    """A grid with no points is bad input (exit 2), not a traceback."""
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
 
 
 def test_model_file_path(tmp_path):

@@ -3,9 +3,9 @@ import pytest
 
 from mapstop.errors import PoleHit
 from mapstop.jumps import JumpLaw
-from mapstop.model import (LevyComponent, MapModel, big_psi, big_psi_deriv,
-                           esscher_tilt, kappa, perron_vector, phi,
-                           stationary_law, validate)
+from mapstop.model import (LevyComponent, MapModel, big_psi, esscher_tilt,
+                           kappa, perron_vector, phi, stationary_law,
+                           validate)
 
 from conftest import random_model
 
@@ -16,13 +16,6 @@ def test_big_psi_rows_vanish_at_zero(ivanovs2, wiener2):
         A = big_psi(model, 0.0)
         assert np.abs(A - model.q_matrix).max() < 1e-12
         assert np.abs(A.sum(axis=1)).max() < 1e-12
-
-
-def test_big_psi_derivative(ivanovs2):
-    z = 0.8
-    h = 1e-6
-    num = (big_psi(ivanovs2, z + h) - big_psi(ivanovs2, z - h)) / (2 * h)
-    assert np.abs(big_psi_deriv(ivanovs2, z) - num).max() < 1e-7
 
 
 def test_kappa_zero_and_convexity(ivanovs2, wiener2):

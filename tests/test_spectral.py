@@ -4,10 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapstop.errors import BlowUp, ValidationError
+import mapstop.scale
+from mapstop.errors import BlowUp, EigenFailure, ValidationError
 from mapstop.invert import talbot_invert
-from mapstop.model import big_psi, phi
+from mapstop.jumps import JumpLaw
+from mapstop.model import LevyComponent, MapModel, big_psi, phi
 from mapstop.scale import (ScaleTable, a_threshold, eval_w, eval_w_one,
                            eval_z, eval_z_one, eval_z_prime,
                            spectral_decompose, w_zero_plus,
@@ -38,6 +42,78 @@ def test_partial_fractions_reproduce_resolvent(ivanovs2):
                  for k in range(len(rep.roots)))
         direct = np.linalg.inv(big_psi(ivanovs2, beta) - q * np.eye(2))
         assert np.abs(pf.real - direct).max() < 1e-10
+
+
+def _check_pencil_rep(model, q, rep):
+    """Round trip against (Psi(beta) - q I)^{-1} at three beta beyond every
+    root, N roots in the right half-plane, and sum_k R_k = W(0+)."""
+    n = model.n_states
+    assert (rep.roots.real > 0).sum() == n
+    for beta in rep.roots.real.max() + np.array([0.5, 2.0, 8.0]):
+        pf = sum(R / (beta - z) for z, R in zip(rep.roots, rep.residues))
+        direct = np.linalg.inv(big_psi(model, beta) - q * np.eye(n))
+        assert np.abs(pf - direct).max() < 1e-8 * (1.0 + np.abs(direct).max())
+    W0 = w_zero_plus(model, q)
+    assert np.abs(rep.residues.sum(axis=0) - W0).max() < 1e-10
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+       q=st.floats(0.2, 4.0))
+def test_pencil_random_models(seed, n, q):
+    model = random_model(seed, n)
+    _check_pencil_rep(model, q, spectral_decompose(model, q))
+
+
+_Q2 = np.array([[-1.0, 1.0], [2.0, -2.0]])
+_EXP3 = JumpLaw.exponential(3.0)
+_NO = JumpLaw.none()
+
+REPEATED_RATE_MODELS = {
+    # an Erlang mixture whose components share one rate
+    "mixture": (MapModel(_Q2, (
+        LevyComponent(1.0, 1.0, ((0.8, JumpLaw.mixture([(0.5, 2, 3.0),
+                                                        (0.5, 1, 3.0)])),)),
+        LevyComponent(2.0))), 5),
+    # a jump part at the rate of a switch law
+    "jump_and_switch": (MapModel(_Q2, (
+        LevyComponent(1.0, 0.0, ((0.7, JumpLaw.exponential(2.5)),)),
+        LevyComponent(1.5, 1.0)),
+        ((_NO, JumpLaw.exponential(2.5)), (_NO, _NO))), 4),
+    # two jump parts with one rate
+    "two_parts": (MapModel(_Q2, (
+        LevyComponent(1.0, 0.5, ((0.5, _EXP3), (0.8, _EXP3))),
+        LevyComponent(2.0, 1.0))), 5),
+    # jump and switch laws at one rate in both states
+    "everywhere": (MapModel(_Q2, (
+        LevyComponent(1.0, 1.0, ((0.6, _EXP3),)),
+        LevyComponent(2.0, 0.0, ((0.9, _EXP3),))),
+        ((_NO, _EXP3), (_EXP3, _NO))), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_RATE_MODELS))
+def test_pencil_repeated_rates(name):
+    """Phases sharing a rate leave modes at the pole -mu that live in the
+    phases only; they are dropped, and only the zeros of det(Psi - q I)
+    remain."""
+    model, n_roots = REPEATED_RATE_MODELS[name]
+    q = 1.3
+    rep = spectral_decompose(model, q)
+    assert len(rep.roots) == n_roots
+    _check_pencil_rep(model, q, rep)
+    for z, h in zip(rep.roots, rep.vectors):
+        A = big_psi(model, z) - q * np.eye(2)
+        assert np.abs(A @ h).max() < 1e-10 * (1.0 + np.abs(A).max())
+
+
+def test_w_zero_check_raises(ivanovs2, monkeypatch):
+    """A residue sum that misses W(0+) is a typed failure, not a result."""
+    exact = mapstop.scale.w_zero_plus
+    monkeypatch.setattr(mapstop.scale, "w_zero_plus",
+                        lambda model, q: exact(model, q) + 1e-6)
+    with pytest.raises(EigenFailure):
+        spectral_decompose(ivanovs2, 1.8)
 
 
 def test_backend_agreement_builtin(ivanovs2, wiener2):
