@@ -57,6 +57,8 @@ def _write_csv(path, header, rows):
 
 
 def cmd_kappa(args):
+    if args.grid < 1:
+        raise ValidationError("--grid needs at least one point")
     model = _load(args)
     n = model.n_states
     thetas = np.linspace(0.0, args.theta_max, args.grid)

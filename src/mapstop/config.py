@@ -101,35 +101,33 @@ def load_model(source) -> MapModel:
 
 
 def _model_from_doc(doc) -> MapModel:
+    """Build the model; a missing key or a bad value is ModelShapeMismatch."""
     try:
         n = int(doc["states"])
         Q = np.array(doc["Q"], dtype=float).reshape(n, n)
         drift = [float(v) for v in doc["drift"]]
         sigma2 = [float(v) for v in doc["sigma2"]]
+        if len(drift) != n or len(sigma2) != n:
+            raise ModelShapeMismatch("drift/sigma2 length does not match states")
+        jump_lists = [[] for _ in range(n)]
+        for entry in doc.get("jumps", []):
+            i = int(entry["state"]) - 1
+            if not 0 <= i < n:
+                raise ModelShapeMismatch(f"jump entry references state {i + 1}")
+            jump_lists[i].append((float(entry["rate"]), _law_from_entry(entry)))
+        comps = tuple(
+            LevyComponent(drift=drift[i], sigma2=sigma2[i], jumps=tuple(jump_lists[i]))
+            for i in range(n)
+        )
+        laws = [[NONE_LAW] * n for _ in range(n)]
+        for entry in doc.get("switch_jumps", []):
+            i, j = int(entry["from"]) - 1, int(entry["to"]) - 1
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ModelShapeMismatch(f"switch jump entry ({i + 1},{j + 1}) out of range")
+            laws[i][j] = _law_from_entry(entry)
+        return MapModel(Q, comps, tuple(tuple(row) for row in laws))
     except (KeyError, ValueError, TypeError) as exc:
         raise ModelShapeMismatch(f"bad model document: {exc}") from exc
-    if len(drift) != n or len(sigma2) != n:
-        raise ModelShapeMismatch("drift/sigma2 length does not match states")
-    jump_lists = [[] for _ in range(n)]
-    for entry in doc.get("jumps", []):
-        i = int(entry["state"]) - 1
-        if not 0 <= i < n:
-            raise ModelShapeMismatch(f"jump entry references state {i + 1}")
-        jump_lists[i].append((float(entry["rate"]), _law_from_entry(entry)))
-    comps = tuple(
-        LevyComponent(drift=drift[i], sigma2=sigma2[i], jumps=tuple(jump_lists[i]))
-        for i in range(n)
-    )
-    laws = [[NONE_LAW] * n for _ in range(n)]
-    for entry in doc.get("switch_jumps", []):
-        i, j = int(entry["from"]) - 1, int(entry["to"]) - 1
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ModelShapeMismatch(f"switch jump entry ({i + 1},{j + 1}) out of range")
-        laws[i][j] = _law_from_entry(entry)
-    try:
-        return MapModel(Q, comps, tuple(tuple(row) for row in laws))
-    except ValueError as exc:
-        raise ModelShapeMismatch(str(exc)) from exc
 
 
 def dump_model(model: MapModel, path):

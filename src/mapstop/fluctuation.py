@@ -15,8 +15,6 @@ x > 0 and equals -q below zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 
@@ -33,8 +31,6 @@ from .scale import (
 )
 
 __all__ = [
-    "FirstPassageRep",
-    "first_passage_rep",
     "one_sided_up",
     "two_sided_up",
     "two_sided_down",
@@ -48,36 +44,16 @@ TAIL_MEANS = 40.0
 # --- one-sided up-crossing --------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FirstPassageRep:
-    """Up-crossing data: positive roots zeta_k and null vectors h_k.
+def one_sided_up(model: MapModel, q: float, x: float, a: float):
+    """E_{(x,i)}[e^{-q tau_a^+}; J_{tau_a^+} = j] for x <= a, indices 0-based.
 
-    The matrix E_{(x,i)}[e^{-q tau_a^+}; J_{tau_a^+} = j] equals
-    H diag(e^{-zeta_k (a - x)}) H^{-1} with H = [h_1 ... h_N].
-    """
-
-    q: float
-    up_roots: np.ndarray
-    up_vectors: np.ndarray
-
-    def matrix(self, x: float, a: float):
-        if x > a:
-            raise ValidationError("requires x <= a")
-        d = np.exp(-self.up_roots * (a - float(x)))
-        H = self.up_vectors
-        out = (H * d) @ np.linalg.inv(H)
-        mag = np.abs(out.real).max()
-        if np.abs(out.imag).max() > 1e-8 * (1.0 + mag):
-            raise EigenFailure("first-passage matrix came out non-real")
-        return out.real
-
-
-def first_passage_rep(model: MapModel, q: float) -> FirstPassageRep:
-    """Collect the N positive-real-part roots with their null vectors.
-
-    Raises EigenFailure when a vector h_k misses its root, i.e.
+    H diag(e^{-zeta_k (a - x)}) H^{-1} over the N positive-real-part roots
+    zeta_k with null vectors h_k, H = [h_1 ... h_N].  Raises EigenFailure
+    when a vector h_k misses its root, i.e.
     |(Psi(zeta_k) - q I) h_k| > 1e-8 (1 + |Psi(zeta_k) - q I|).
     """
+    if x > a:
+        raise ValidationError("requires x <= a")
     rep = spectral_decompose(model, q)
     up = rep.roots.real > 0
     pos = rep.roots[up]
@@ -86,19 +62,12 @@ def first_passage_rep(model: MapModel, q: float) -> FirstPassageRep:
         A = big_psi(model, z) - q * np.eye(model.n_states)
         if np.abs(A @ h).max() > 1e-8 * (1.0 + np.abs(A).max()):
             raise EigenFailure(f"no null vector at root {z}")
-    return FirstPassageRep(q=float(q), up_roots=pos, up_vectors=H)
-
-
-def one_sided_up(model: MapModel, q: float, x: float, a: float,
-                 i: int = None, j: int = None):
-    """E_{(x,i)}[e^{-q tau_a^+}; J_{tau_a^+} = j] for x <= a.
-
-    With i and j omitted the full matrix is returned; indices are 0-based.
-    """
-    P = first_passage_rep(model, q).matrix(x, a)
-    if i is None and j is None:
-        return P
-    return float(P[i, j])
+    d = np.exp(-pos * (a - float(x)))
+    out = (H * d) @ np.linalg.inv(H)
+    mag = np.abs(out.real).max()
+    if np.abs(out.imag).max() > 1e-8 * (1.0 + mag):
+        raise EigenFailure("first-passage matrix came out non-real")
+    return out.real
 
 
 # --- two-sided exits ---------------------------------------------------
@@ -163,14 +132,14 @@ def generator_check(model: MapModel, rep: SpectralRep, x: float, i: int) -> floa
 
     Zero (to quadrature accuracy) for x > 0 and exactly -q for x < 0,
     reflecting that the row sums of Z^(q) are q-harmonic above the origin.
-    i is a 0-based state index; x must be nonzero.
+    i is a 0-based state index; x must be nonzero (ValidationError).
 
     Raises QuadratureFailure when the accumulated quadrature error
     estimate exceeds 1e-6 (1 + |q|).
     """
     x = float(x)
     if x == 0.0:
-        raise ValueError("the residual is two-valued at x = 0; pick a side")
+        raise ValidationError("the residual is two-valued at x = 0; pick a side")
     q = rep.q
     n = model.n_states
 

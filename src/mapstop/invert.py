@@ -14,7 +14,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from .errors import InversionUnstable
+from .errors import InversionUnstable, ValidationError
 from .model import MapModel
 from .model import phi as _phi
 
@@ -111,11 +111,12 @@ def talbot_invert(model: MapModel, q: float, x: float):
     shift comes from a dominance scan, not from the spectral roots) and
     the node count grows linearly in x so the contour's real-axis crossing
     keeps a fixed margin.  Two node counts are compared; a discrepancy
-    beyond 1e-5 (relative) raises InversionUnstable.
+    beyond 1e-5 (relative) raises InversionUnstable, and x <= 0 raises
+    ValidationError.
     """
     x = float(x)
     if x <= 0:
-        raise ValueError("contour inversion needs x > 0")
+        raise ValidationError("contour inversion needs x > 0")
     q = float(q)
     phi_q = _phi(model, q)
     ceiling = _real_root_ceiling(model, q, phi_q)

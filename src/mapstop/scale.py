@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eig
 
 from .errors import (
@@ -50,7 +49,6 @@ __all__ = [
     "spectral_decompose",
     "eval_w",
     "eval_z",
-    "eval_z_prime",
     "eval_w_one",
     "eval_z_one",
     "eval_w_one_deriv",
@@ -271,10 +269,6 @@ def _spectral_sum(rep: SpectralRep, x, order: int, rows: bool, right=None):
     return out[0] if np.ndim(x) == 0 else out
 
 
-def _z_factor(rep: SpectralRep):
-    return rep.q * np.eye(rep.n_states) - rep.q_matrix
-
-
 def eval_w(rep: SpectralRep, x):
     """W^(q)(x): zero matrix for x < 0, sum_k R_k e^{zeta_k x} for x >= 0."""
     return _spectral_sum(rep, x, 0, rows=False)
@@ -282,13 +276,9 @@ def eval_w(rep: SpectralRep, x):
 
 def eval_z(rep: SpectralRep, x):
     """Z^(q)(x): identity for x <= 0, I + [sum_k R_k (e^{zeta_k x}-1)/zeta_k](qI-Q)."""
-    z = _spectral_sum(rep, x, -1, rows=False, right=_z_factor(rep))
+    factor = rep.q * np.eye(rep.n_states) - rep.q_matrix
+    z = _spectral_sum(rep, x, -1, rows=False, right=factor)
     return z + np.eye(rep.n_states)
-
-
-def eval_z_prime(rep: SpectralRep, x):
-    """d/dx Z^(q)(x) = W^(q)(x) (q I - Q) for x > 0 (zero for x < 0)."""
-    return eval_w(rep, x) @ _z_factor(rep)
 
 
 def eval_w_one(rep: SpectralRep, x):
@@ -364,6 +354,13 @@ def wiener_closed_form(model: MapModel, q: float):
 # --- threshold a(j) ----------------------------------------------------
 
 
+def _grid(x_max, step):
+    """Grid 0, step, ... up to x_max; ValidationError unless 0 < step <= x_max."""
+    if not 0 < step <= x_max:
+        raise ValidationError("scale grid needs 0 < step <= x_max")
+    return np.arange(0.0, x_max + 0.5 * step, step)
+
+
 def _first_crossing(grid, vals, below):
     """First point right of grid[0] where a predicate holds, or None.
 
@@ -392,9 +389,10 @@ def a_threshold(rep: SpectralRep, j: int, x_max: float = X_MAX_DEFAULT,
 
     j is a 0-based state index.  Grid scan at the given step, then
     bisection to 1e-8.  [Z 1]_j(0) = 1 sits on the threshold, so a hit at
-    the first grid step gives a(j) = 0.
+    the first grid step gives a(j) = 0.  ValidationError unless
+    0 < step <= x_max.
     """
-    grid = np.arange(0.0, x_max + 0.5 * step, step)
+    grid = _grid(x_max, step)
     vals = eval_z_one(rep, grid)[:, j] <= 1.0
     if vals[1:2].any():
         return 0.0
@@ -406,58 +404,32 @@ def a_threshold(rep: SpectralRep, j: int, x_max: float = X_MAX_DEFAULT,
 
 
 class ScaleTable:
-    """Uniform-grid tabulation of W, Z and their row sums.
+    """Uniform-grid tabulation of W, Z, their row sums and u = [Z 1] - q [W 1].
 
-    The row sums are interpolated by one cubic spline (the solver
-    differentiates them); rows_at returns both.  Queries left of 0 return
-    the defining extensions W = 0, Z = I.
+    The CLI writes it as CSV; point values come from eval_w_one and
+    eval_z_one, not from the table.
     """
 
-    def __init__(self, q, grid, w, z, w_row, z_row, u=None):
+    def __init__(self, q, grid, w, z):
         self.q = float(q)
         self.grid = np.asarray(grid, dtype=float)
         self.w = np.asarray(w, dtype=float)
         self.z = np.asarray(z, dtype=float)
-        self.w_row = np.asarray(w_row, dtype=float)
-        self.z_row = np.asarray(z_row, dtype=float)
-        # stored rather than derived so serialization stays canonical
-        # despite the cancellation in z_row - q w_row
-        self.u = (self.z_row - self.q * self.w_row if u is None
-                  else np.asarray(u, dtype=float))
-        self._rows_sp = CubicSpline(self.grid, np.hstack([self.w_row, self.z_row]),
-                                    axis=0)
+        self.w_row = self.w.sum(axis=2)
+        self.z_row = self.z.sum(axis=2)
+        self.u = self.z_row - self.q * self.w_row
 
     @property
     def n_states(self):
         return self.w_row.shape[1]
-
-    @property
-    def x_max(self):
-        return float(self.grid[-1])
 
     @classmethod
     def from_rep(cls, rep: SpectralRep, x_max: float = X_MAX_DEFAULT,
                  step: float = STEP_DEFAULT) -> "ScaleTable":
         """Tabulate on [0, x_max] at the given step; ValidationError unless
         0 < step <= x_max."""
-        if not 0 < step <= x_max:
-            raise ValidationError("scale table needs 0 < step <= x_max")
-        grid = np.arange(0.0, x_max + 0.5 * step, step)
-        w = eval_w(rep, grid)
-        z = eval_z(rep, grid)
-        return cls(rep.q, grid, w, z, w.sum(axis=2), z.sum(axis=2))
-
-    # interpolating query --------------------------------------------------
-
-    def rows_at(self, x):
-        """([W 1](x), [Z 1](x)) from one spline call; ValueError beyond x_max."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x > self.x_max + 1e-12):
-            raise ValueError("query beyond the tabulated range")
-        n = self.n_states
-        out = self._rows_sp(np.clip(x, 0.0, self.x_max))
-        out = np.where((x < 0)[..., None], np.repeat([0.0, 1.0], n), out)
-        return out[..., :n], out[..., n:]
+        grid = _grid(x_max, step)
+        return cls(rep.q, grid, eval_w(rep, grid), eval_z(rep, grid))
 
     # CSV persistence ------------------------------------------------------
 
@@ -483,27 +455,3 @@ class ScaleTable:
             fh.write(",".join(cols) + "\n")
             for row in data:
                 fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "ScaleTable":
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("# q="):
-                raise ValueError("missing scale-table header")
-            fields = dict(
-                part.split("=") for part in header[2:].split() if "=" in part
-            )
-            q = float(fields["q"])
-            n = int(fields["states"])
-            fh.readline()
-            data = np.loadtxt(fh, delimiter=",")
-        m = data.shape[0]
-        grid = data[:, 0]
-        w = data[:, 1:1 + n * n].reshape(m, n, n)
-        z = data[:, 1 + n * n:1 + 2 * n * n].reshape(m, n, n)
-        base = 1 + 2 * n * n
-        w_row = data[:, base:base + n]
-        z_row = data[:, base + n:base + 2 * n]
-        u = data[:, base + 2 * n:base + 3 * n] if data.shape[1] >= base + 3 * n \
-            else None
-        return cls(q, grid, w, z, w_row, z_row, u)

@@ -5,7 +5,7 @@ the running maximum of the additive component.  For the exponential gain
 f(s, j) = e^s h_j the drawdown boundary is constant per state and solves
 u_j(x) = [Z^(q) 1]_j(x) - q [W^(q) 1]_j(x) <= 0 minimally.  The capped
 gain (e^{min(s, eps)} - K)^+ h_j leads to a per-state first-order
-boundary equation integrated here by Runge-Kutta with interpolated
+boundary equation integrated here by Runge-Kutta with exact
 scale-function row sums.
 
 The boundary in force is c_{Jbar}, where Jbar is the state in which the
@@ -35,9 +35,9 @@ from .model import MapModel, kappa
 from .scale import (
     STEP_DEFAULT,
     X_MAX_DEFAULT,
-    ScaleTable,
     SpectralRep,
     _first_crossing,
+    _grid,
     _spectral_sum,
     a_threshold,
     eval_w,
@@ -196,12 +196,13 @@ class StopSolution:
             V = e^s ( [W(y) W(c_j)^{-1} (m - h_j Z(c_j) 1)]_i + h_j [Z(y) 1]_i ),
 
         m the values at the maximum (see _peak_values); for y <= 0 it is
-        f(s, j).  Raises BoundaryMissing unless every state has a boundary.
+        f(s, j).  Raises BoundaryMissing unless every state has a boundary,
+        and ValidationError when x > s.
         """
         x = float(x)
         s = float(s)
         if x > s + 1e-12:
-            raise ValueError("requires x <= s")
+            raise ValidationError("requires x <= s")
         m = self._peak_values
         c = self.states[j].c
         y = c + min(x - s, 0.0)
@@ -222,7 +223,8 @@ def solve_shepp(model: MapModel, q: float, h=None,
     otherwise).  Per state: c_j = 0 when [W 1]_j(0+) >= 1/q; otherwise the
     first sign change of u_j on the 1e-3 grid is refined by bisection; no sign
     change up to x_max is reported as the NoRootOnRange regime.  Raises
-    InvalidSolution when a located boundary exceeds the threshold a(j).
+    InvalidSolution when a located boundary exceeds the threshold a(j), and
+    ValidationError unless 1e-3 <= x_max.
     """
     q = float(q)
     h = np.ones(model.n_states) if h is None else np.asarray(h, dtype=float)
@@ -235,7 +237,7 @@ def solve_shepp(model: MapModel, q: float, h=None,
             f"q = {q} <= kappa(1) = {k1:.6g}: the stopping value is infinite"
         )
     rep = spectral_decompose(model, q)
-    grid = np.arange(0.0, x_max + 0.5 * STEP_DEFAULT, STEP_DEFAULT)
+    grid = _grid(x_max, STEP_DEFAULT)
     u = eval_z_one(rep, grid) - q * eval_w_one(rep, grid)
     w0 = np.diag(w_zero_plus(model, q))
     states = []
@@ -283,16 +285,17 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
                        init, step: float = 1e-3):
     """Integrate g'(s,j) = 1 - (f'/f) [Z 1]_j(g) / (q [W 1]_j(g)) per state.
 
-    Fourth-order Runge-Kutta on a uniform s-grid; scale-function row sums
-    come from a tabulation on [0, 5] (cubic interpolation).  Every accepted
-    step is checked against the weaker sufficient inequality for the
-    stopped supermartingale property (the slope may not exceed the larger
-    right-hand side at the step's two grid points; the one at the next
-    point is the next step's first RK stage) and against g <= a(j);
-    violations are recorded on the curve with their (s, code, detail).
-    A step that leaves the table (BlowUp) or divides by q [W 1]_j(g) <
-    1e-10 (DivisionNearZero) ends the curve early.  Stiff right-hand sides
-    engage sub-steps and flag the curve.  Returns a tuple of BoundaryCurve.
+    Fourth-order Runge-Kutta on a uniform s-grid; the row sums [W 1]_j(g)
+    and [Z 1]_j(g) are evaluated exactly (eval_w_one, eval_z_one) for g in
+    [0, 5].  Every accepted step is checked against the weaker sufficient
+    inequality for the stopped supermartingale property (the slope may not
+    exceed the larger right-hand side at the step's two grid points; the
+    one at the next point is the next step's first RK stage) and against
+    g <= a(j); violations are recorded on the curve with their (s, code,
+    detail).  A step that leaves [0, 5] (BlowUp) or divides by
+    q [W 1]_j(g) < 1e-10 (DivisionNearZero) ends the curve early.  Stiff
+    right-hand sides engage sub-steps and flag the curve.  Returns a tuple
+    of BoundaryCurve.
     """
     q = float(q)
     s0, s1 = float(s_range[0]), float(s_range[1])
@@ -306,7 +309,6 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
     if init.shape != (model.n_states,):
         raise ValidationError("one initial boundary value per state required")
     rep = spectral_decompose(model, q)
-    table = ScaleTable.from_rep(rep)
     n_steps = int(round((s1 - s0) / step))
     s_vals = s0 + step * np.arange(n_steps + 1)
     curves = []
@@ -317,14 +319,14 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
 
         def rhs(s, g, j=j):
             if g > X_MAX_DEFAULT:
-                raise _Abort("BlowUp", f"g = {g:.6g} beyond the table range")
-            w1, z1 = table.rows_at(g)
-            denom = q * float(w1[j])
+                raise _Abort("BlowUp", f"g = {g:.6g} beyond x_max = {X_MAX_DEFAULT:g}")
+            denom = q * float(eval_w_one(rep, g)[j])
             if denom < DIV_FLOOR:
                 raise _Abort(
                     "DivisionNearZero", f"q [W 1]_j(g) = {denom:.3e} at g = {g:.6g}"
                 )
-            return 1.0 - gain.f_prime(s, j) / gain.f(s, j) * float(z1[j]) / denom
+            z1 = float(eval_z_one(rep, g)[j])
+            return 1.0 - gain.f_prime(s, j) / gain.f(s, j) * z1 / denom
 
         g = float(init[j])
         g_path = [g]

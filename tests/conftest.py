@@ -52,3 +52,24 @@ def random_model(seed, n=None):
             rows.append(tuple(row))
         switch = tuple(rows)
     return MapModel(q_matrix=Q, components=tuple(comps), switch_jumps=switch)
+
+
+def check_scale_csv(path, table):
+    """ScaleTable.to_csv layout: a '# q=.. states=N' line, the column names,
+    then x, W, Z (row-major), [W 1], [Z 1] and u per grid point, each
+    matching the table to 1e-9 relative."""
+    n = table.n_states
+    with open(path) as fh:
+        assert fh.readline() == f"# q={table.q:.12g} states={n}\n"
+        cols = fh.readline().strip().split(",")
+    assert cols[:2] == ["x", "w_11"] and cols[-1] == f"u_{n}"
+    data = np.loadtxt(path, delimiter=",", skiprows=2)
+    m = len(table.grid)
+    parts = [table.grid[:, None], table.w.reshape(m, n * n),
+             table.z.reshape(m, n * n), table.w_row, table.z_row, table.u]
+    assert data.shape == (m, len(cols)) == (m, sum(p.shape[1] for p in parts))
+    k = 0
+    for want in parts:
+        got = data[:, k:k + want.shape[1]]
+        k += want.shape[1]
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()

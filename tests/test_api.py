@@ -14,7 +14,9 @@ MODULES = ["mapstop"] + [
 ]
 
 REMOVED = {
-    "mapstop.scale": ["DiagLimit", "w_prime_zero_plus", "SPURIOUS_TOL"],
+    "mapstop.scale": ["DiagLimit", "w_prime_zero_plus", "SPURIOUS_TOL",
+                      "eval_z_prime", "CubicSpline"],
+    "mapstop.fluctuation": ["FirstPassageRep", "first_passage_rep"],
     "mapstop.stopping": ["regime_report", "RegimeReport", "StateRegime", "value",
                          "UNBOUNDED"],
     "mapstop.model": ["path_classes", "big_psi_deriv"],
@@ -39,6 +41,7 @@ def test_removed_names_are_gone(name):
 
 
 def test_removed_members_are_gone():
+    from mapstop.fluctuation import one_sided_up
     from mapstop.jumps import JumpLaw
     from mapstop.model import LevyComponent
     from mapstop.scale import ScaleTable
@@ -46,8 +49,11 @@ def test_removed_members_are_gone():
     from mapstop.stopping import GainSpec, StopSolution
 
     for attr in ("w_at", "z_at", "u_at", "_mat_at", "step",
-                 "w_row_at", "z_row_at", "_check_range"):
+                 "w_row_at", "z_row_at", "_check_range",
+                 "rows_at", "from_csv", "x_max"):
         assert not hasattr(ScaleTable, attr)
+    assert list(inspect.signature(ScaleTable).parameters) == ["q", "grid", "w", "z"]
+    assert list(inspect.signature(one_sided_up).parameters) == ["model", "q", "x", "a"]
     assert not hasattr(GainSpec, "custom")
     assert not {"table", "valid"} & set(StopSolution.__dataclass_fields__)
     assert not {"s_grid", "f_table", "fp_table"} & set(GainSpec.__dataclass_fields__)

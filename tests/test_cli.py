@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from mapstop import cli
-from mapstop.scale import ScaleTable
+from mapstop.config import load_model
+from mapstop.scale import ScaleTable, spectral_decompose
+
+from conftest import check_scale_csv
 
 
 def read_rows(path):
@@ -37,9 +40,8 @@ def test_scale_command_roundtrip(tmp_path):
                    "--step", "0.01", "--out", str(tmp_path)])
     assert rc == 0
     path = tmp_path / "scale_q1.8.csv"
-    table = ScaleTable.from_csv(path)
-    table.to_csv(tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_text() == path.read_text()
+    rep = spectral_decompose(load_model("ivanovs2"), 1.8)
+    check_scale_csv(path, ScaleTable.from_rep(rep, x_max=0.5, step=0.01))
     rows = read_rows(path)
     assert "u_2" in rows[0]
     u2 = float(rows[0]["u_2"])
@@ -149,11 +151,33 @@ def test_exit_codes(tmp_path):
     ["boundary", "ivanovs2", "--q", "1.8", "--step", "0"],
     ["boundary", "ivanovs2", "--q", "1.8", "--s0", "0.2", "--s1", "0.5",
      "--step", "1"],
+    ["shepp", "ivanovs2", "--q", "1.8", "--xmax", "-1"],
+    ["shepp", "ivanovs2", "--q", "1.8", "--xmax", "0"],
+    ["kappa", "ivanovs2", "--grid", "-1"],
+    ["kappa", "ivanovs2", "--grid", "0"],
 ], ids=["scale_xmax_negative", "scale_step_negative", "scale_step_zero",
-        "boundary_step_zero", "boundary_step_beyond_range"])
+        "boundary_step_zero", "boundary_step_beyond_range",
+        "shepp_xmax_negative", "shepp_xmax_zero", "kappa_grid_negative",
+        "kappa_grid_zero"])
 def test_bad_grid_is_validation_error(tmp_path, argv):
     """A grid with no points is bad input (exit 2), not a traceback."""
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert not os.listdir(tmp_path)
+
+
+_ONE_JUMP = {"states": 1, "Q": [0.0], "drift": [1.0], "sigma2": [0.0]}
+
+
+@pytest.mark.parametrize("jump", [
+    {"state": 1, "rate": -1, "kind": "exponential", "jump_rate": 2.0},
+    {"state": 1, "rate": 1, "kind": "exponential", "jump_rate": 0},
+    {"state": 1, "rate": 1, "kind": "exponential"},
+], ids=["negative_rate", "zero_jump_rate", "missing_jump_rate"])
+def test_malformed_model_file_exits_2(tmp_path, jump):
+    """A model file whose jump entry is bad is input error, not a traceback."""
+    p = tmp_path / "bad.cfg"
+    p.write_text(json.dumps(dict(_ONE_JUMP, jumps=[jump])))
+    assert cli.main(["shepp", str(p), "--q", "1.8", "--out", str(tmp_path)]) == 2
 
 
 def test_model_file_path(tmp_path):

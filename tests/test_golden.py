@@ -131,7 +131,7 @@ GOLDEN = {
     "stopped_below_max":
         "0febf2e0a3dec204502552b944b53fd1c812ee487ef62ae889766142ec599bb8",
     "shepp_curves":
-        "ea87583153bb62261c53aa52d4f8d79b9d970149e73503c1244d1ba568a0423c",
+        "4ae46e88b8d472498bb03bf2c7193582fd5a7e0b5c8d651c4cd58ae3021571ac",
     "sample_path":
         "2617cc9c86f53abb13084d32da44deac6c8258c1a37e8b343a1dd1c42239f351",
 }

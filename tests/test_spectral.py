@@ -13,11 +13,11 @@ from mapstop.invert import talbot_invert
 from mapstop.jumps import JumpLaw
 from mapstop.model import LevyComponent, MapModel, big_psi, phi
 from mapstop.scale import (ScaleTable, a_threshold, eval_w, eval_w_one,
-                           eval_z, eval_z_one, eval_z_prime,
+                           eval_z, eval_z_one,
                            spectral_decompose, w_zero_plus,
                            wiener_closed_form)
 
-from conftest import random_model
+from conftest import check_scale_csv, random_model
 
 
 def test_root_count_and_phi_among_roots(ivanovs2, wiener2):
@@ -158,9 +158,7 @@ def test_z_prime_identity(ivanovs2):
     rep = spectral_decompose(ivanovs2, q)
     M = q * np.eye(2) - ivanovs2.q_matrix
     for x in (0.2, 0.7, 1.6):
-        lhs = eval_z_prime(rep, x)
-        rhs = eval_w(rep, x) @ M
-        assert np.abs(lhs - rhs).max() < 1e-9
+        lhs = eval_w(rep, x) @ M
         h = 1e-6
         num = (eval_z(rep, x + h) - eval_z(rep, x - h)) / (2 * h)
         assert np.abs(lhs - num).max() < 1e-6
@@ -170,6 +168,9 @@ def test_z_is_identity_at_origin(ivanovs2):
     rep = spectral_decompose(ivanovs2, 1.5)
     assert np.abs(eval_z(rep, 0.0) - np.eye(2)).max() < 1e-10
     assert np.abs(eval_z(rep, -0.5) - np.eye(2)).max() < 1e-12
+    # the row sums keep the extensions W = 0, Z = I exactly left of 0
+    assert np.array_equal(eval_w_one(rep, -0.3), np.zeros(2))
+    assert np.array_equal(eval_z_one(rep, np.array([-0.3, 0.0])), np.ones((2, 2)))
 
 
 def test_row_sums_positive_near_zero(ivanovs2, wiener2):
@@ -216,38 +217,12 @@ def test_overflow_raises_blow_up(ivanovs2):
 
 
 def test_scale_table_roundtrip(tmp_path, ivanovs2):
-    """12-digit canonical form: parse and re-serialize is bit-stable."""
+    """The 12-digit CSV form holds the table's arrays."""
     rep = spectral_decompose(ivanovs2, 1.8)
     table = ScaleTable.from_rep(rep, x_max=1.0, step=0.01)
     path = os.path.join(tmp_path, "t.csv")
     table.to_csv(path)
-    back = ScaleTable.from_csv(path)
-    again = os.path.join(tmp_path, "t2.csv")
-    back.to_csv(again)
-    assert open(path).read() == open(again).read()
-    assert back.q == table.q
-    for name in ("grid", "w", "z", "w_row", "z_row"):
-        a, b = getattr(table, name), getattr(back, name)
-        assert np.abs(a - b).max() < 1e-9 * (1.0 + np.abs(a).max())
-
-
-def test_scale_table_interpolation(ivanovs2):
-    rep = spectral_decompose(ivanovs2, 1.5)
-    table = ScaleTable.from_rep(rep, x_max=2.0, step=1e-3)
-    x = 0.7613
-    w_row, z_row = table.rows_at(x)
-    assert np.abs(w_row - eval_w_one(rep, x)).max() < 1e-8
-    assert np.abs(z_row - eval_z_one(rep, x)).max() < 1e-8
-    # a vector query; left of 0 the extensions W = 0, Z = I hold exactly
-    xs = np.array([0.7613, 1.25, -0.3])
-    w_rows, z_rows = table.rows_at(xs)
-    assert np.abs(w_rows[:2] - eval_w_one(rep, xs[:2])).max() < 1e-8
-    assert np.abs(z_rows[:2] - eval_z_one(rep, xs[:2])).max() < 1e-8
-    for w_left, z_left in (table.rows_at(-0.3), (w_rows[2], z_rows[2])):
-        assert np.array_equal(w_left, np.zeros(2))
-        assert np.array_equal(z_left, np.ones(2))
-    with pytest.raises(ValueError):
-        table.rows_at(2.5)
+    check_scale_csv(path, table)
 
 
 def test_decompose_rejects_nonpositive_q(ivanovs2):

@@ -63,7 +63,7 @@ def test_value_formula_anchors(ivanovs2):
     # stop region: drawdown beyond the boundary pays the gain itself
     assert sol.value(0.0, sol.states[0].c + 0.3, 0, 0) == sol.gain.f(
         sol.states[0].c + 0.3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         sol.value(1.0, 0.5, 0, 0)
 
 
