@@ -6,11 +6,9 @@ from .model import (
     LevyComponent,
     MapModel,
     big_psi,
-    esscher_tilt,
     kappa,
     perron_vector,
     phi,
-    validate,
 )
 from .scale import ScaleTable, spectral_decompose
 from .simulate import SimConfig, estimate_exit, estimate_stopped_gain, verify_mgf
@@ -26,8 +24,6 @@ __all__ = [
     "kappa",
     "perron_vector",
     "phi",
-    "esscher_tilt",
-    "validate",
     "load_model",
     "dump_model",
     "spectral_decompose",

@@ -20,7 +20,7 @@ from . import svgplot
 from .config import builtin_names, load_model
 from .errors import MapstopError, Unbounded, ValidationError
 from .fluctuation import one_sided_up, two_sided_down, two_sided_up
-from .model import kappa, perron_vector, phi, validate
+from .model import kappa, perron_vector, phi
 from .scale import ScaleTable, a_threshold, spectral_decompose
 from .simulate import SimConfig, estimate_exit, estimate_stopped_gain, verify_mgf
 from .stopping import GainSpec, solve_boundary_ode, solve_shepp
@@ -38,16 +38,6 @@ def _out_dir(args):
     return d
 
 
-def _load(args):
-    model = load_model(args.model)
-    problems = validate(model)
-    for p in problems:
-        print(f"model check: {p}", file=sys.stderr)
-    if problems:
-        raise ValidationError("model failed validation")
-    return model
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -59,7 +49,7 @@ def _write_csv(path, header, rows):
 def cmd_kappa(args):
     if args.grid < 1:
         raise ValidationError("--grid needs at least one point")
-    model = _load(args)
+    model = load_model(args.model)
     n = model.n_states
     thetas = np.linspace(0.0, args.theta_max, args.grid)
     rows = []
@@ -67,13 +57,13 @@ def cmd_kappa(args):
         k = kappa(model, th)
         v = perron_vector(model, th)
         rows.append([_fmt(th), _fmt(k)] + [_fmt(x) for x in v])
-    d = _out_dir(args)
-    _write_csv(os.path.join(d, "kappa.csv"),
-               ["theta", "kappa"] + [f"v_{j + 1}" for j in range(n)], rows)
     prows = []
     for q in args.q:
         p = phi(model, q)
         prows.append([_fmt(q), _fmt(p), _fmt(kappa(model, p))])
+    d = _out_dir(args)
+    _write_csv(os.path.join(d, "kappa.csv"),
+               ["theta", "kappa"] + [f"v_{j + 1}" for j in range(n)], rows)
     _write_csv(os.path.join(d, "phi.csv"), ["q", "phi", "kappa_at_phi"], prows)
     eig = sorted(np.linalg.eigvals(model.q_matrix).real)
     print("modulator eigenvalues:", ", ".join(_fmt(v) for v in eig))
@@ -83,7 +73,7 @@ def cmd_kappa(args):
 
 
 def cmd_scale(args):
-    model = _load(args)
+    model = load_model(args.model)
     rep = spectral_decompose(model, args.q)
     table = ScaleTable.from_rep(rep, x_max=args.xmax, step=args.step)
     d = _out_dir(args)
@@ -100,7 +90,7 @@ def cmd_scale(args):
 
 
 def cmd_shepp(args):
-    model = _load(args)
+    model = load_model(args.model)
     h = np.array(args.h, dtype=float) if args.h else np.ones(model.n_states)
     sol = solve_shepp(model, args.q, h=h, x_max=args.xmax)
     d = _out_dir(args)
@@ -129,7 +119,7 @@ def cmd_shepp(args):
 
 
 def cmd_boundary(args):
-    model = _load(args)
+    model = load_model(args.model)
     n = model.n_states
     if args.gain == "shepp":
         gain = GainSpec.shepp(np.ones(n))
@@ -162,7 +152,7 @@ def cmd_boundary(args):
 
 
 def cmd_exit(args):
-    model = _load(args)
+    model = load_model(args.model)
     q, x, a = args.q, args.x, args.a
     rep = spectral_decompose(model, q)
     mats = {
@@ -186,7 +176,7 @@ def cmd_exit(args):
 
 
 def cmd_simulate(args):
-    model = _load(args)
+    model = load_model(args.model)
     cfg = SimConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,
                     master_seed=args.seed)
     d = _out_dir(args)
@@ -231,7 +221,7 @@ _FIG_PANELS = ((1.5, 0), (1.5, 1), (1.8, 1), (5.0, 0), (5.0, 1))
 
 
 def cmd_figures(args):
-    model = _load(args)
+    model = load_model(args.model)
     if model.n_states != 2:
         raise ValidationError("figure set is defined for 2-state models")
     d = _out_dir(args)
@@ -354,15 +344,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except Unbounded as exc:
-        print(f"unbounded problem: {exc}", file=sys.stderr)
-        return 4
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
     except MapstopError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        print(f"mapstop: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ def one_sided_up(model: MapModel, q: float, x: float, a: float):
     when a vector h_k misses its root, i.e.
     |(Psi(zeta_k) - q I) h_k| > 1e-8 (1 + |Psi(zeta_k) - q I|).
     """
-    if x > a:
+    if not x <= a:
         raise ValidationError("requires x <= a")
     rep = spectral_decompose(model, q)
     up = rep.roots.real > 0
@@ -85,7 +85,7 @@ def _w_inverse_at(rep: SpectralRep, a: float):
 
 def two_sided_up(rep: SpectralRep, x: float, a: float):
     """E_{(x,i)}[e^{-q tau_a^+}; tau_a^+ < tau_0^-, J = j] = W(x) W(a)^{-1}."""
-    if x > a:
+    if not x <= a:
         raise ValidationError("requires x <= a")
     return eval_w(rep, x) @ _w_inverse_at(rep, a)
 
@@ -96,7 +96,7 @@ def two_sided_down(rep: SpectralRep, x: float, a: float):
     Z(x) - W(x) W(a)^{-1} Z(a); the identity matrix for x <= 0 (the level
     starts below the barrier, so the exit is immediate and undiscounted).
     """
-    if x > a:
+    if not x <= a:
         raise ValidationError("requires x <= a")
     return eval_z(rep, x) - two_sided_up(rep, x, a) @ eval_z(rep, a)
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ModelShapeMismatch
+
 __all__ = ["JumpLaw", "NONE_LAW"]
 
 
@@ -34,7 +36,7 @@ class JumpLaw:
         for w, k, mu in self.components:
             k = int(k)
             if w <= 0 or k < 1 or mu <= 0:
-                raise ValueError("mixture components need w>0, shape>=1, rate>0")
+                raise ModelShapeMismatch("mixture components need w>0, shape>=1, rate>0")
             comps.append((float(w), k, float(mu)))
         total = sum(w for w, _, _ in comps)
         if comps and abs(total - 1.0) > 1e-12:
@@ -108,23 +110,6 @@ class JumpLaw:
                 acc = acc + term
             out = out + w * np.exp(-mu * u) * acc
         return out
-
-    # --- Esscher tilt -------------------------------------------------
-
-    def tilt(self, gamma: float) -> "JumpLaw":
-        """Tilted law with density e^{gamma u} f(u) / G(gamma).
-
-        Each Erlang(k, mu) magnitude becomes Erlang(k, mu + gamma); weights
-        pick up the component transform values.  Requires gamma > -min mu.
-        """
-        if not self.components:
-            return self
-        parts = []
-        for w, k, mu in self.components:
-            if mu + gamma <= 0:
-                raise ValueError("tilt parameter outside the transform domain")
-            parts.append((w * (mu / (mu + gamma)) ** k, k, mu + gamma))
-        return JumpLaw(tuple(parts))
 
     # --- sampling (uniform-draw protocol) ------------------------------
 

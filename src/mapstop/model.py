@@ -20,19 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailure, EigenFailure, PoleHit, ValidationError
+from .errors import (BracketFailure, EigenFailure, ModelShapeMismatch, PoleHit,
+                     ValidationError)
 from .jumps import NONE_LAW, JumpLaw
 
 __all__ = [
     "LevyComponent",
     "MapModel",
-    "Diagnostic",
     "big_psi",
     "kappa",
     "perron_vector",
     "phi",
-    "esscher_tilt",
-    "validate",
     "stationary_law",
 ]
 
@@ -59,9 +57,9 @@ class LevyComponent:
         jumps = tuple((float(r), law) for r, law in self.jumps)
         for r, law in jumps:
             if r <= 0:
-                raise ValueError("compound-Poisson rate must be > 0")
+                raise ModelShapeMismatch("compound-Poisson rate must be > 0")
             if law.is_none:
-                raise ValueError("jump part needs a nontrivial law")
+                raise ModelShapeMismatch("jump part needs a nontrivial law")
         object.__setattr__(self, "jumps", jumps)
 
     @property
@@ -95,6 +93,9 @@ class MapModel:
     components : tuple of N LevyComponent
     switch_jumps : N x N tuple-of-tuples of JumpLaw; diagonal ignored,
         entries with q_{ij} = 0 treated as none.
+
+    Construction raises ModelShapeMismatch naming every standing assumption
+    that fails, so a model that exists has well-defined scale matrices.
     """
 
     q_matrix: np.ndarray
@@ -109,7 +110,7 @@ class MapModel:
         object.__setattr__(self, "components", comps)
         n = len(comps)
         if Q.shape != (n, n):
-            raise ValueError("q_matrix shape does not match component count")
+            raise ModelShapeMismatch("q_matrix shape does not match component count")
         sj = self.switch_jumps
         if sj is None:
             sj = tuple(tuple(NONE_LAW for _ in range(n)) for _ in range(n))
@@ -125,6 +126,9 @@ class MapModel:
                 rows.append(tuple(row))
             sj = tuple(rows)
         object.__setattr__(self, "switch_jumps", sj)
+        problems = _assumption_failures(Q, comps)
+        if problems:
+            raise ModelShapeMismatch("model failed validation: " + "; ".join(problems))
 
     @property
     def n_states(self) -> int:
@@ -142,40 +146,26 @@ class MapModel:
         return sorted(set(locs))
 
 
-# --- diagnostics ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-
-    def __str__(self):
-        return f"{self.code}: {self.message}"
-
-
-def validate(model: MapModel):
-    """Check model invariants; returns a list of Diagnostic, never raises."""
+def _assumption_failures(Q, components):
+    """The paper's standing assumptions, as "rule: message" for each one broken."""
     out = []
-    Q = model.q_matrix
-    n = model.n_states
+    n = len(components)
     off = Q - np.diag(np.diag(Q))
     if (off < 0).any():
-        out.append(Diagnostic("q_offdiag", "Q has a negative off-diagonal entry"))
+        out.append("q_offdiag: Q has a negative off-diagonal entry")
     rowsum = np.abs(Q.sum(axis=1)).max()
     if rowsum > 1e-10:
-        out.append(Diagnostic("q_rowsum", f"Q rows do not sum to 0 (max |sum| {rowsum:.2e})"))
+        out.append(f"q_rowsum: Q rows do not sum to 0 (max |sum| {rowsum:.2e})")
     if n > 1 and not _irreducible(Q):
-        out.append(Diagnostic("q_reducible", "Q is not irreducible"))
-    for i, comp in enumerate(model.components):
+        out.append("q_reducible: Q is not irreducible")
+    for i, comp in enumerate(components):
         if comp.sigma2 < 0:
-            out.append(Diagnostic("sigma2_negative", f"state {i + 1}: sigma2 < 0"))
+            out.append(f"sigma2_negative: state {i + 1}: sigma2 < 0")
         if comp.is_bv and comp.drift <= 0:
-            out.append(Diagnostic(
-                "monotone_path",
-                f"state {i + 1}: bounded variation requires drift > 0 "
-                "(path would be non-increasing)",
-            ))
+            out.append(
+                f"monotone_path: state {i + 1}: bounded variation requires drift > 0 "
+                "(path would be non-increasing)"
+            )
     return out
 
 
@@ -266,7 +256,7 @@ def perron_vector(model: MapModel, theta: float):
 def phi(model: MapModel, q: float) -> float:
     """Right inverse Phi(q) = sup{theta >= 0 : kappa(theta) = q}."""
     q = float(q)
-    if q < 0:
+    if not q >= 0:
         raise ValidationError("q must be >= 0")
     hi = 1.0
     while kappa(model, hi) <= q:
@@ -283,59 +273,3 @@ def phi(model: MapModel, q: float) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-# --- Esscher tilt -----------------------------------------------------
-
-
-def esscher_tilt(model: MapModel, gamma: float) -> MapModel:
-    """Exponentially tilted model.
-
-    The tilt with parameter gamma maps the matrix exponent to
-
-        Psi_gamma(theta) = Dv^{-1} Psi(theta + gamma) Dv - kappa(gamma) I,
-
-    with Dv = diag(v(gamma)).  Realized directly on the parameters: drifts
-    gain sigma2*gamma, each Erlang magnitude rate shifts by gamma with
-    intensities scaled by the component transform at gamma, off-diagonal
-    rates become q_ij G_ij(gamma) v_j / v_i with tilted switch laws, and
-    the diagonal is fixed by conservativeness.
-    """
-    gamma = float(gamma)
-    _check_pole(model, gamma)
-    n = model.n_states
-    v = perron_vector(model, gamma)
-    kg = kappa(model, gamma)
-    comps = []
-    for comp in model.components:
-        jumps = []
-        for r, law in comp.jumps:
-            g = float(np.real(law.transform(gamma)))
-            jumps.append((r * g, law.tilt(gamma)))
-        comps.append(LevyComponent(
-            drift=comp.drift + comp.sigma2 * gamma,
-            sigma2=comp.sigma2,
-            jumps=tuple(jumps),
-        ))
-    Q = model.q_matrix
-    Qt = np.zeros_like(Q)
-    laws = [[NONE_LAW] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j or Q[i, j] == 0.0:
-                continue
-            law = model.switch_jumps[i][j]
-            g = float(np.real(law.transform(gamma)))
-            Qt[i, j] = Q[i, j] * g * v[j] / v[i]
-            laws[i][j] = law.tilt(gamma)
-    np.fill_diagonal(Qt, 0.0)
-    diag = -Qt.sum(axis=1)
-    # analytic identity: -sum_j Qt[i,j] = psi_i(gamma) + q_ii - kappa(gamma)
-    for i in range(n):
-        expect = float(np.real(model.components[i].psi(gamma))) + Q[i, i] - kg
-        if abs(diag[i] - expect) > 1e-8 * (1.0 + abs(diag[i])):
-            raise EigenFailure(
-                f"tilt diagonal mismatch in state {i + 1}: {diag[i]} vs {expect}"
-            )
-    Qt = Qt + np.diag(diag)
-    return MapModel(Qt, tuple(comps), tuple(tuple(row) for row in laws))

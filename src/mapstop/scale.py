@@ -172,7 +172,7 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
     with positive real part is not N.
     """
     q = float(q)
-    if q <= 0:
+    if not q > 0:
         raise ValidationError("spectral decomposition requires q > 0")
     n = model.n_states
     A, B = _phase_embedding(model, q)
@@ -184,13 +184,13 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
     # snap numerically-real roots so their residues stay exactly real
     real_mask = np.abs(roots.imag) <= 1e-10 * (1.0 + np.abs(roots))
     roots = np.where(real_mask, roots.real + 0j, roots)
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            if abs(roots[a] - roots[b]) < ROOT_SEP_TOL:
-                raise DegenerateRoots(
-                    f"roots {roots[a]} and {roots[b]} are closer than {ROOT_SEP_TOL}; "
-                    "perturb q by ~1e-6 and rerun"
-                )
+    close = np.argwhere(np.triu(np.abs(roots[:, None] - roots) < ROOT_SEP_TOL, 1))
+    if close.size:  # argwhere is row-major: the first pair of the a < b scan
+        a, b = close[0]
+        raise DegenerateRoots(
+            f"roots {roots[a]} and {roots[b]} are closer than {ROOT_SEP_TOL}; "
+            "perturb q by ~1e-6 and rerun"
+        )
     n_pos = int((roots.real > 0).sum())
     if n_pos != n:
         raise RootCountMismatch(

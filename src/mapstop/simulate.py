@@ -65,9 +65,9 @@ class SimConfig:
     master_seed: int = 20260822
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValidationError("dt must be positive")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValidationError("horizon must be positive")
         if self.n_paths < 100:
             raise ValidationError("need at least 100 paths")
@@ -499,9 +499,9 @@ def estimate_exit(model: MapModel, config: SimConfig, q: float, x: float,
     a = float(a)
     if config.dt > 1e-3 + 1e-15:
         raise ValidationError("exit estimates require dt <= 1e-3")
-    if a <= 0:
+    if not a > 0:
         raise ValidationError("upper barrier must be positive")
-    if x > a:
+    if not x <= a:
         raise ValidationError("requires x <= a")
     n = model.n_states
     vals = {k: np.zeros((n, n)) for k in ("c0", "c1", "c2")}

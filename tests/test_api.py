@@ -19,7 +19,10 @@ REMOVED = {
     "mapstop.fluctuation": ["FirstPassageRep", "first_passage_rep"],
     "mapstop.stopping": ["regime_report", "RegimeReport", "StateRegime", "value",
                          "UNBOUNDED"],
-    "mapstop.model": ["path_classes", "big_psi_deriv"],
+    "mapstop.model": ["path_classes", "big_psi_deriv", "validate", "Diagnostic",
+                      "esscher_tilt"],
+    "mapstop": ["validate", "Diagnostic", "esscher_tilt"],
+    "mapstop.cli": ["_load"],
     "mapstop.errors": ["ConstraintViolation", "DivisionNearZero"],
     "mapstop.simulate": ["_gain_values"],
 }
@@ -58,5 +61,5 @@ def test_removed_members_are_gone():
     assert not {"table", "valid"} & set(StopSolution.__dataclass_fields__)
     assert not {"s_grid", "f_table", "fp_table"} & set(GainSpec.__dataclass_fields__)
     assert "start_tag" not in inspect.signature(sample_path).parameters
-    assert not {"rational", "transform_deriv"} & set(dir(JumpLaw))
+    assert not {"rational", "transform_deriv", "tilt"} & set(dir(JumpLaw))
     assert not hasattr(LevyComponent, "psi_deriv")

@@ -155,14 +155,36 @@ def test_exit_codes(tmp_path):
     ["shepp", "ivanovs2", "--q", "1.8", "--xmax", "0"],
     ["kappa", "ivanovs2", "--grid", "-1"],
     ["kappa", "ivanovs2", "--grid", "0"],
+    ["shepp", "ivanovs2", "--q", "nan"],
+    ["boundary", "ivanovs2", "--q", "nan"],
+    ["scale", "ivanovs2", "--q", "nan"],
+    ["kappa", "ivanovs2", "--q", "nan", "--grid", "3"],
+    ["exit", "ivanovs2", "--q", "1.5", "--x", "nan", "--a", "1"],
+    ["exit", "ivanovs2", "--q", "1.5", "--x", "0.5", "--a", "nan"],
+    ["simulate", "ivanovs2", "--functional", "id1", "--dt", "nan"],
+    ["simulate", "ivanovs2", "--functional", "id1", "--horizon", "nan"],
 ], ids=["scale_xmax_negative", "scale_step_negative", "scale_step_zero",
         "boundary_step_zero", "boundary_step_beyond_range",
         "shepp_xmax_negative", "shepp_xmax_zero", "kappa_grid_negative",
-        "kappa_grid_zero"])
+        "kappa_grid_zero", "shepp_q_nan", "boundary_q_nan", "scale_q_nan",
+        "kappa_q_nan", "exit_x_nan", "exit_a_nan", "simulate_dt_nan",
+        "simulate_horizon_nan"])
 def test_bad_grid_is_validation_error(tmp_path, argv):
-    """A grid with no points is bad input (exit 2), not a traceback."""
+    """A grid with no points, or a NaN where a range is checked, is bad
+    input (exit 2), not a traceback, and nothing is written."""
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     assert not os.listdir(tmp_path)
+
+
+def test_invalid_model_file_exits_2(tmp_path):
+    """A model breaking the standing assumptions (Q rows not summing to 0)
+    is bad input: exit 2 and no output."""
+    p = tmp_path / "bad.cfg"
+    p.write_text(json.dumps({"states": 2, "Q": [-1.0, 0.5, 2.0, -2.0],
+                             "drift": [1.0, 1.0], "sigma2": [1.0, 0.5]}))
+    out = tmp_path / "out"
+    assert cli.main(["shepp", str(p), "--q", "1.8", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 _ONE_JUMP = {"states": 1, "Q": [0.0], "drift": [1.0], "sigma2": [0.0]}

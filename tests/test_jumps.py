@@ -47,17 +47,6 @@ def test_poles_merge_multiplicity():
     assert law.poles() == [(-3.0, 2)]
 
 
-def test_tilt_matches_density_ratio():
-    law = JumpLaw.mixture([(0.3, 1, 2.0), (0.7, 2, 3.0)])
-    g = 0.8
-    tilted = law.tilt(g)
-    u = np.array([0.2, 0.9, 2.1])
-    # tilted density of U = -u is e^{-g u} f(u) / G(g)
-    expect = np.exp(-g * u) * law.density_mag(u) / law.transform(g).real
-    got = tilted.density_mag(u)
-    assert np.abs(got - expect).max() < 1e-12
-
-
 def test_sample_mag_consumption_and_law():
     rng = np.random.default_rng(7)
     law = JumpLaw.mixture([(0.5, 1, 1.0), (0.5, 3, 3.0)])

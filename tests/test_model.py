@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mapstop.errors import PoleHit
-from mapstop.jumps import JumpLaw
-from mapstop.model import (LevyComponent, MapModel, big_psi, esscher_tilt,
-                           kappa, perron_vector, phi, stationary_law,
-                           validate)
+from mapstop.config import load_model
+from mapstop.errors import ModelShapeMismatch, PoleHit
+from mapstop.jumps import NONE_LAW, JumpLaw
+from mapstop.model import (LevyComponent, MapModel, big_psi, kappa,
+                           perron_vector, phi, stationary_law)
 
 from conftest import random_model
 
@@ -113,45 +113,46 @@ def test_stationary_law(ivanovs2):
     assert np.abs(pi - np.array([0.25, 0.75])).max() < 1e-12
 
 
-def test_esscher_tilt_shifts_kappa(ivanovs2):
-    g = 0.6
-    tilted = esscher_tilt(ivanovs2, g)
-    base = kappa(ivanovs2, g)
-    for th in (0.0, 0.4, 1.1):
-        assert abs(kappa(tilted, th) - (kappa(ivanovs2, th + g) - base)) < 1e-9
-
-
-def test_esscher_tilt_drift_positive_at_phi(ivanovs2):
-    """Under the tilt by Phi(q) the process drifts upward."""
-    q = 1.5
-    tilted = esscher_tilt(ivanovs2, phi(ivanovs2, q))
-    h = 1e-6
-    assert (kappa(tilted, h) - kappa(tilted, 0.0)) / h > 0
-
-
 def test_pole_hit_raises(ivanovs2):
     with pytest.raises(PoleHit):
         big_psi(ivanovs2, -3.0)
 
 
-def test_validate_flags_bad_models():
-    good = MapModel(
-        q_matrix=np.array([[-1.0, 1.0], [2.0, -2.0]]),
-        components=(LevyComponent(1.0, 1.0), LevyComponent(1.0, 0.5)),
-    )
-    assert validate(good) == []
+_GOOD_Q = [-1.0, 1.0, 2.0, -2.0]
+_BROKEN = {  # rule: (Q row-major, drift, sigma2), each breaking that rule
+    "q_offdiag": ([-1.0, 1.0, -1.0, 1.0], [1.0, 1.0], [1.0, 0.5]),
+    "q_rowsum": ([-1.0, 0.5, 2.0, -2.0], [1.0, 1.0], [1.0, 0.5]),
+    "q_reducible": ([-1.0, 1.0, 0.0, 0.0], [1.0, 1.0], [1.0, 0.5]),
+    "sigma2_negative": (_GOOD_Q, [1.0, 1.0], [-1.0, 0.5]),
+    "monotone_path": (_GOOD_Q, [-1.0, 1.0], [0.0, 0.5]),
+}
 
-    bad_rows = MapModel(
-        q_matrix=np.array([[-1.0, 0.5], [2.0, -2.0]]),
-        components=(LevyComponent(1.0, 1.0), LevyComponent(1.0, 0.5)),
-    )
-    assert any(d.code == "q_rowsum" for d in validate(bad_rows))
 
-    monotone = MapModel(
-        q_matrix=np.array([[-1.0, 1.0], [2.0, -2.0]]),
-        components=(LevyComponent(-1.0, 0.0), LevyComponent(1.0, 0.5)),
-    )
-    assert any(d.code == "monotone_path" for d in validate(monotone))
+@pytest.mark.parametrize("rule", list(_BROKEN))
+def test_invalid_model_is_never_built(rule):
+    """Each standing assumption is enforced when the model is built, by the
+    constructor and by load_model, with the broken rule named."""
+    Q, drift, sigma2 = _BROKEN[rule]
+    comps = tuple(LevyComponent(d, s) for d, s in zip(drift, sigma2))
+    with pytest.raises(ModelShapeMismatch, match=rule):
+        MapModel(np.reshape(Q, (2, 2)), comps)
+    doc = {"states": 2, "Q": Q, "drift": drift, "sigma2": sigma2}
+    with pytest.raises(ModelShapeMismatch, match=rule):
+        load_model(doc)
+    good = dict(doc, Q=_GOOD_Q, drift=[1.0, 1.0], sigma2=[1.0, 0.5])
+    assert load_model(good).n_states == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LevyComponent(1.0, 0.0, ((-1.0, JumpLaw.exponential(2.0)),)),
+    lambda: LevyComponent(1.0, 0.0, ((1.0, NONE_LAW),)),
+    lambda: JumpLaw.exponential(0.0),
+    lambda: JumpLaw.mixture([(0.0, 1, 2.0)]),
+    lambda: MapModel(np.zeros((2, 2)), (LevyComponent(1.0),)),
+], ids=["rate", "trivial_law", "jump_rate", "weight", "shape"])
+def test_constructor_errors_are_typed(build):
+    with pytest.raises(ModelShapeMismatch):
+        build()
 
 
 def test_switch_laws_masked_by_rate_matrix():
