@@ -7,8 +7,8 @@ level x in modulator state i, for barriers 0 and a:
     id1  E[e^{-q T_a}; T_a < T_0, J = j]      (up before down)
     id2  E[e^{-q T_0}; T_0 < T_a, J = j]      (down before up)
 
-id1 and id2 are ratios of scale matrices; id0 comes from the positive
-spectral roots and their null vectors.  The generator residual H_i(x)
+id1 and id2 are ratios of scale matrices; id0 comes from the residues at
+the positive spectral roots.  The generator residual H_i(x)
 verifies that x -> [Z^(q)(x) 1]_i kills the discounted generator on
 x > 0 and equals -q below zero.
 """
@@ -48,22 +48,22 @@ def one_sided_up(model: MapModel, q: float, x: float, a: float):
     """E_{(x,i)}[e^{-q tau_a^+}; J_{tau_a^+} = j] for x <= a, indices 0-based.
 
     H diag(e^{-zeta_k (a - x)}) H^{-1} over the N positive-real-part roots
-    zeta_k with null vectors h_k, H = [h_1 ... h_N].  Raises EigenFailure
-    when a vector h_k misses its root, i.e.
-    |(Psi(zeta_k) - q I) h_k| > 1e-8 (1 + |Psi(zeta_k) - q I|).
+    zeta_k with null vectors h_k.  Their residues are rank one, R_k = h_k g_k,
+    so this is [sum_k R_k e^{-zeta_k (a - x)}] [sum_k R_k]^{-1}.  Raises
+    EigenFailure when a residue misses its root, i.e. |(Psi(zeta_k) - q I)
+    R_k| > 1e-8 (1 + |Psi(zeta_k) - q I|) max|R_k|.
     """
     if not x <= a:
         raise ValidationError("requires x <= a")
     rep = spectral_decompose(model, q)
     up = rep.roots.real > 0
-    pos = rep.roots[up]
-    H = rep.vectors[up].T
-    for z, h in zip(pos, H.T):
+    pos, R = rep.roots[up], rep.residues[up]
+    for z, Rk in zip(pos, R):
         A = big_psi(model, z) - q * np.eye(model.n_states)
-        if np.abs(A @ h).max() > 1e-8 * (1.0 + np.abs(A).max()):
-            raise EigenFailure(f"no null vector at root {z}")
+        if np.abs(A @ Rk).max() > 1e-8 * (1.0 + np.abs(A).max()) * np.abs(Rk).max():
+            raise EigenFailure(f"residue misses its root {z}")
     d = np.exp(-pos * (a - float(x)))
-    out = (H * d) @ np.linalg.inv(H)
+    out = np.einsum("k,kij->ij", d, R) @ np.linalg.inv(R.sum(axis=0))
     mag = np.abs(out.real).max()
     if np.abs(out.imag).max() > 1e-8 * (1.0 + mag):
         raise EigenFailure("first-passage matrix came out non-real")

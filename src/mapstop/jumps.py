@@ -35,8 +35,8 @@ class JumpLaw:
         comps = []
         for w, k, mu in self.components:
             k = int(k)
-            if w <= 0 or k < 1 or mu <= 0:
-                raise ModelShapeMismatch("mixture components need w>0, shape>=1, rate>0")
+            if not (0 < w < np.inf and k >= 1 and 0 < mu < np.inf):
+                raise ModelShapeMismatch("mixture components need finite w>0, shape>=1, rate>0")
             comps.append((float(w), k, float(mu)))
         total = sum(w for w, _, _ in comps)
         if comps and abs(total - 1.0) > 1e-12:

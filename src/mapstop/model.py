@@ -56,8 +56,8 @@ class LevyComponent:
         object.__setattr__(self, "sigma2", float(self.sigma2))
         jumps = tuple((float(r), law) for r, law in self.jumps)
         for r, law in jumps:
-            if r <= 0:
-                raise ModelShapeMismatch("compound-Poisson rate must be > 0")
+            if not 0 < r < np.inf:
+                raise ModelShapeMismatch("compound-Poisson rate must be finite and > 0")
             if law.is_none:
                 raise ModelShapeMismatch("jump part needs a nontrivial law")
         object.__setattr__(self, "jumps", jumps)
@@ -150,6 +150,9 @@ def _assumption_failures(Q, components):
     """The paper's standing assumptions, as "rule: message" for each one broken."""
     out = []
     n = len(components)
+    values = [*Q.ravel(), *(v for c in components for v in (c.drift, c.sigma2))]
+    if not np.isfinite(values).all():  # NaN would read false in every rule below
+        return ["finite: Q, drift and sigma2 must be finite numbers"]
     off = Q - np.diag(np.diag(Q))
     if (off < 0).any():
         out.append("q_offdiag: Q has a negative off-diagonal entry")

@@ -22,7 +22,8 @@ One kernel evaluates every such sum (W, Z, their row sums and the
 x-derivatives); it raises BlowUp when e^{zeta_k x} overflows.  Phi(q) is
 the smallest positive real root; spectral_decompose raises EigenFailure
 when the Perron root kappa does not cross q there, or when sum_k R_k
-misses the exact W^(q)(0+).
+misses the exact W^(q)(0+), and DegenerateRoots when a repeated root is
+defective (the pencil has no full eigenvector basis).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ __all__ = [
     "a_threshold",
 ]
 
-ROOT_SEP_TOL = 1e-7
+BASIS_COND_MAX = 1e7  # sweep models <= 8.2e3, near-equal rates <= 3.1e5; defective >= 9e7
 MODE_TOL = 1e-10
 W0_TOL = 1e-8
 IMAG_GUARD = 1e-6
@@ -71,12 +72,15 @@ STEP_DEFAULT = 1e-3
 def _phase_embedding(model: MapModel, q: float):
     """First-order pencil (A, B) whose eigenvalues are the transform poles.
 
-    The space holds the N modulator states and one phase per Erlang stage
-    of every jump part and every switch-jump law.  In a phase X falls at
-    unit rate and the phase moves on at rate mu; the last stage returns to
-    the source state of a jump part, or enters the target state of a
-    switch.  With S the Gaussian variances, D the drifts (-1 on phases), G
-    the generator and Delta 1 on the modulator states,
+    The space holds the N modulator states and, per source state and
+    Erlang stage rate mu, one chain of phases as long as the longest part
+    of a jump part or switch-jump law leaving the state at rate mu.  In a
+    phase X falls at unit rate and the phase moves on at rate mu; a part
+    of k stages leaves after stage k with its share of the entry rate, back
+    to the source state of a jump part or into the target state of a
+    switch.  Shared chains keep the phases free of modes the modulator
+    cannot see.  With S the Gaussian variances, D the drifts (-1 on
+    phases), G the generator and Delta 1 on the modulator states,
 
         P(z) = S z^2 / 2 + D z + (G - q Delta),
 
@@ -87,26 +91,32 @@ def _phase_embedding(model: MapModel, q: float):
     n = model.n_states
     Q = model.q_matrix
     top = np.array(Q, dtype=float)
-    routes = []  # (source, target, entry rate, stages, stage rate)
+    chains = {}  # (source, stage rate) -> [(target, entry rate, stages)]
     for i, comp in enumerate(model.components):
         for r, law in comp.jumps:
             top[i, i] -= r
-            routes += [(i, i, r * w, k, mu) for w, k, mu in law.components]
+            for w, k, mu in law.components:
+                chains.setdefault((i, mu), []).append((i, r * w, k))
         for j, law in enumerate(model.switch_jumps[i]):
             if not law.is_none:
                 top[i, j] = 0.0
-                routes += [(i, j, Q[i, j] * w, k, mu) for w, k, mu in law.components]
-    m = n + sum(k for _, _, _, k, _ in routes)
+                for w, k, mu in law.components:
+                    chains.setdefault((i, mu), []).append((j, Q[i, j] * w, k))
+    m = n + sum(max(st for *_, st in parts) for parts in chains.values())
     gauss = [i for i, c in enumerate(model.components) if c.sigma2 > 0]
     extra = m + np.arange(len(gauss))
     A = np.zeros((m + len(gauss),) * 2)
     A[:n, :n] = top - q * np.eye(n)
     p = n
-    for src, tgt, rate, k, mu in routes:
-        A[src, p] += rate
+    for (src, mu), parts in chains.items():
+        total, k = sum(rate for _, rate, _ in parts), max(st for *_, st in parts)
+        A[src, p] += total
         for s in range(p, p + k):
             A[s, s] = -mu
-            A[s, s + 1 if s + 1 < p + k else tgt] = mu
+            if s + 1 < p + k:
+                A[s, s + 1] = mu
+        for tgt, rate, stages in parts:
+            A[p + stages - 1, tgt] += mu * (rate / total)
         p += k
     A[extra, extra] = 1.0
     drift = np.full(m, -1.0)
@@ -125,14 +135,13 @@ def _phase_embedding(model: MapModel, q: float):
 class SpectralRep:
     """Partial-fraction data of (Psi(beta) - q I)^{-1}.
 
-    roots : complex (K,) simple roots zeta_k of det(Psi(z) - q I) = 0,
-        sorted by descending real part.  Exactly N of them have positive
-        real part (asserted at construction).
-    residues : complex (K, N, N), R_k = lim (beta - zeta_k)(Psi - q)^{-1}.
+    roots : complex (K,) roots zeta_k of det(Psi(z) - q I) = 0, a root of
+        multiplicity m listed m times, sorted by descending real part.
+        Exactly N of them have positive real part (asserted at construction).
+    residues : complex (K, N, N) rank-one R_k; those at one root sum to
+        lim (beta - zeta_k)(Psi - q)^{-1}.
     root_sums : complex (K, N), the row sums R_k 1; entries below
         64 eps max|R_k| are set to 0, where they cancel analytically.
-    vectors : complex (K, N), null vectors h_k of Psi(zeta_k) - q I,
-        scaled so the entry of largest modulus is 1.
     phi_q : the positive real root equal to the Perron right inverse.
     q_matrix : modulator rate matrix, kept for Z^(q).
     """
@@ -141,7 +150,6 @@ class SpectralRep:
     roots: np.ndarray
     residues: np.ndarray
     root_sums: np.ndarray
-    vectors: np.ndarray
     phi_q: float
     q_matrix: np.ndarray
 
@@ -154,11 +162,12 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
     """Locate the transform poles in beta and their residue matrices.
 
     One generalized eigenproblem -A x = z B x of the phase-type pencil
-    (_phase_embedding) yields every root z_k with right and left vectors
-    x_k, y_k.  The residue is R_k = x_k[:N] y_k[:N]^H / (y_k^H B x_k) and
-    the null vector is x_k[:N].  A mode whose right vector vanishes on the
-    modulator states (max |x_k[:N]| <= 1e-10) lives inside the phases at a
-    transform pole and is dropped, as is an infinite eigenvalue.
+    (_phase_embedding) yields every root z_k with right vector x_k.  As
+    (A + beta B)^{-1} = X (beta I - Lambda)^{-1} (B X)^{-1} over the basis
+    X = [x_1 ... x_K], the residue is R_k = x_k[:N] (B X)^{-1}[k, :N], for
+    repeated roots too.  A mode whose right vector vanishes on the
+    modulator states (max |x_k[:N]| <= 1e-10; nearly equal stage rates
+    leave such modes) lives inside the phases at a pole and is dropped.
 
     phi_q is the smallest positive real root: any other positive real zero
     z has kappa(z) > q, so it lies above Phi(q).  Two Perron roots confirm
@@ -167,44 +176,40 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
     positive real root exists, or when sum_k R_k = W(0+) misses
     w_zero_plus by more than 1e-8 (1 + max|w_zero_plus|).
 
-    Raises DegenerateRoots when two roots come closer than 1e-7 (perturb q
-    slightly in that case) and RootCountMismatch when the number of roots
-    with positive real part is not N.
+    Raises DegenerateRoots when a repeated root is defective (B X singular,
+    or |B X|_1 |(B X)^{-1}|_1 over the kept modes above BASIS_COND_MAX),
+    and RootCountMismatch when not exactly N roots have positive real part.
     """
     q = float(q)
     if not q > 0:
         raise ValidationError("spectral decomposition requires q > 0")
     n = model.n_states
     A, B = _phase_embedding(model, q)
-    vals, left, right = eig(-A, B, left=True, right=True)
-    # a zero-drift bounded-variation state makes B singular: roots at infinity
-    keep = np.flatnonzero(np.isfinite(vals) & (np.abs(right[:n]).max(axis=0) > MODE_TOL))
+    vals, right = eig(-A, B)
+    keep = np.flatnonzero(np.abs(right[:n]).max(axis=0) > MODE_TOL)
+    BX = B @ right  # B is invertible: drift > 0 where BV, det sigma2/2 where not
+    try:  # judged on the kept modes: their rows are the ones read below
+        weights = np.linalg.inv(BX)
+        cond = np.linalg.norm(BX[:, keep], 1) * np.linalg.norm(weights[keep], 1)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond <= BASIS_COND_MAX:
+        raise DegenerateRoots(f"eigenvector basis condition {cond:.2e}: defective root")
     keep = sorted(keep, key=lambda k: (-vals[k].real, vals[k].imag))
-    roots, x, y = vals[keep], right[:, keep], left[:, keep]
+    roots, x, g = vals[keep], right[:n, keep], weights[keep, :n]
     # snap numerically-real roots so their residues stay exactly real
     real_mask = np.abs(roots.imag) <= 1e-10 * (1.0 + np.abs(roots))
     roots = np.where(real_mask, roots.real + 0j, roots)
-    close = np.argwhere(np.triu(np.abs(roots[:, None] - roots) < ROOT_SEP_TOL, 1))
-    if close.size:  # argwhere is row-major: the first pair of the a < b scan
-        a, b = close[0]
-        raise DegenerateRoots(
-            f"roots {roots[a]} and {roots[b]} are closer than {ROOT_SEP_TOL}; "
-            "perturb q by ~1e-6 and rerun"
-        )
     n_pos = int((roots.real > 0).sum())
     if n_pos != n:
         raise RootCountMismatch(
             f"{n_pos} roots with positive real part, expected {n}"
         )
-    norm = np.einsum("ik,ij,jk->k", y.conj(), B, x)  # y_k^H B x_k
-    residues = np.einsum("ik,jk->kij", x[:n], y[:n].conj()) / norm[:, None, None]
+    residues = np.einsum("ik,kj->kij", x, g)
     residues = np.where(real_mask[:, None, None], residues.real + 0j, residues)
     root_sums = residues.sum(axis=2)
     peak = np.abs(residues).max(axis=(1, 2))
     root_sums[np.abs(root_sums) <= 64 * np.finfo(float).eps * peak[:, None]] = 0.0
-    h = x[:n].T
-    h = h / h[np.arange(len(h)), np.abs(h).argmax(axis=1)][:, None]
-    vectors = np.where(real_mask[:, None], h.real + 0j, h)
     cand = roots.real[real_mask & (roots.real > 0)]
     if not cand.size:
         raise EigenFailure("no positive real root to match the Perron inverse")
@@ -223,7 +228,6 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
         roots=roots,
         residues=residues,
         root_sums=root_sums,
-        vectors=vectors,
         phi_q=phi_q,
         q_matrix=np.array(model.q_matrix, dtype=float),
     )

@@ -54,6 +54,20 @@ def random_model(seed, n=None):
     return MapModel(q_matrix=Q, components=tuple(comps), switch_jumps=switch)
 
 
+def exchangeable_model(d=0.0, n=3):
+    """n identical states, each with drift 1, sigma2 0.5 and Exp(2) jumps at
+    rate 1, switching at rate 1 to every other state; d is added to the
+    (2, 1) rate.  At d = 0 the MAP is a Levy process in law, and
+    det(Psi(z) - q I) = (psi(z) - q)(psi(z) - q - n)^{n-1}: the roots of
+    the second factor repeat n - 1 times, semisimple as Psi(z) = psi(z) I + Q."""
+    Q = np.ones((n, n))
+    Q[1, 0] += d
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    comp = LevyComponent(1.0, 0.5, ((1.0, JumpLaw.exponential(2.0)),))
+    return MapModel(Q, (comp,) * n)
+
+
 def check_scale_csv(path, table):
     """ScaleTable.to_csv layout: a '# q=.. states=N' line, the column names,
     then x, W, Z (row-major), [W 1], [Z 1] and u per grid point, each

@@ -15,7 +15,7 @@ MODULES = ["mapstop"] + [
 
 REMOVED = {
     "mapstop.scale": ["DiagLimit", "w_prime_zero_plus", "SPURIOUS_TOL",
-                      "eval_z_prime", "CubicSpline"],
+                      "eval_z_prime", "CubicSpline", "ROOT_SEP_TOL"],
     "mapstop.fluctuation": ["FirstPassageRep", "first_passage_rep"],
     "mapstop.stopping": ["regime_report", "RegimeReport", "StateRegime", "value",
                          "UNBOUNDED"],
@@ -47,7 +47,7 @@ def test_removed_members_are_gone():
     from mapstop.fluctuation import one_sided_up
     from mapstop.jumps import JumpLaw
     from mapstop.model import LevyComponent
-    from mapstop.scale import ScaleTable
+    from mapstop.scale import ScaleTable, SpectralRep
     from mapstop.simulate import sample_path
     from mapstop.stopping import GainSpec, StopSolution
 
@@ -63,3 +63,4 @@ def test_removed_members_are_gone():
     assert "start_tag" not in inspect.signature(sample_path).parameters
     assert not {"rational", "transform_deriv", "tilt"} & set(dir(JumpLaw))
     assert not hasattr(LevyComponent, "psi_deriv")
+    assert "vectors" not in SpectralRep.__dataclass_fields__

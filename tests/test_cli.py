@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mapstop import cli
-from mapstop.config import load_model
+from mapstop.config import dump_model, load_model
 from mapstop.scale import ScaleTable, spectral_decompose
 
-from conftest import check_scale_csv
+from conftest import check_scale_csv, exchangeable_model
 
 
 def read_rows(path):
@@ -187,6 +187,26 @@ def test_invalid_model_file_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_non_finite_model_file_exits_2(tmp_path):
+    """A model file with an infinite drift is bad input: exit 2, no output."""
+    p = tmp_path / "bad.cfg"
+    p.write_text(json.dumps({"states": 2, "Q": [-1.0, 1.0, 2.0, -2.0],
+                             "drift": [float("inf"), 1.0], "sigma2": [1.0, 0.5]}))
+    out = tmp_path / "out"
+    assert cli.main(["shepp", str(p), "--q", "1.8", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_exchangeable_model_file(tmp_path):
+    """Repeated (semisimple) roots are no failure: shepp exits 0 and every
+    state gets the boundary of the one-state model."""
+    p = tmp_path / "exchangeable.cfg"
+    dump_model(exchangeable_model(), p)
+    assert cli.main(["shepp", str(p), "--q", "1.5", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "shepp_q1.5.json").read_text())
+    assert all(abs(d["c"] - 0.3007835426) < 1e-9 for d in doc["states"])
+
+
 _ONE_JUMP = {"states": 1, "Q": [0.0], "drift": [1.0], "sigma2": [0.0]}
 
 
@@ -204,7 +224,6 @@ def test_malformed_model_file_exits_2(tmp_path, jump):
 
 def test_model_file_path(tmp_path):
     """A model given as a JSON file path loads the same as the builtin."""
-    from mapstop.config import dump_model, load_model
     model = load_model("ivanovs2")
     p = tmp_path / "copy.cfg"
     dump_model(model, p)

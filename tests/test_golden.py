@@ -5,7 +5,9 @@ errors and effective path counts) or of a sampled trajectory, so any
 change to the draw protocol, the event order or the floating-point
 expressions of the engine shows up here, not only run-to-run drift.  One
 more case pins the Shepp-gain curves of the boundary ODE, which the
-stopped-gain estimates can take as their boundary.
+stopped-gain estimates can take as their boundary.  That pin also
+follows the last bits of the spectral core, so a change there may re-pin
+it when it states the largest change in the curves.
 
 The pins depend on numpy's ``exp`` and scipy's ``ndtri`` (the inverse
 normal behind every Euler increment) as well as on the engine.  Only a
@@ -131,7 +133,7 @@ GOLDEN = {
     "stopped_below_max":
         "0febf2e0a3dec204502552b944b53fd1c812ee487ef62ae889766142ec599bb8",
     "shepp_curves":
-        "4ae46e88b8d472498bb03bf2c7193582fd5a7e0b5c8d651c4cd58ae3021571ac",
+        "69cecb96462019f2343bd556b00a7ab67334561a0ef86f0b388e2205d4224ee6",
     "sample_path":
         "2617cc9c86f53abb13084d32da44deac6c8258c1a37e8b343a1dd1c42239f351",
 }

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,32 @@ def test_invalid_model_is_never_built(rule):
         load_model(doc)
     good = dict(doc, Q=_GOOD_Q, drift=[1.0, 1.0], sigma2=[1.0, 0.5])
     assert load_model(good).n_states == 2
+
+
+_JUMP_DOC = {"states": 2, "Q": _GOOD_Q, "drift": [1.0, 1.0], "sigma2": [1.0, 0.5],
+             "jumps": [{"state": 2, "rate": 1.0, "kind": "exponential",
+                        "jump_rate": 2.0}]}
+_MODEL_RULE = r"validation: finite: [^;]*$"  # the finite rule and no other
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("drift", [float("nan"), 1.0], _MODEL_RULE),
+    ("drift", [1.0, float("inf")], _MODEL_RULE),
+    ("sigma2", [1.0, float("nan")], _MODEL_RULE),
+    ("Q", [-1.0, 1.0, float("nan"), -2.0], _MODEL_RULE),
+    ("rate", float("nan"), "compound-Poisson rate must be finite"),
+    ("jump_rate", float("nan"), "need finite"),
+], ids=["drift_nan", "drift_inf", "sigma2", "Q", "rate", "jump_rate"])
+def test_non_finite_input_is_refused(key, value, rule):
+    """NaN or infinite model input is refused when the model is built,
+    under a rule that names finiteness, never by a later numerical failure."""
+    doc = copy.deepcopy(_JUMP_DOC)
+    if key in ("rate", "jump_rate"):
+        doc["jumps"][0][key] = value
+    else:
+        doc[key] = value
+    with pytest.raises(ModelShapeMismatch, match=rule):
+        load_model(doc)
 
 
 @pytest.mark.parametrize("build", [

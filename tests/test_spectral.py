@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mapstop.scale
-from mapstop.errors import BlowUp, EigenFailure, ValidationError
+from mapstop.errors import BlowUp, DegenerateRoots, EigenFailure, ValidationError
+from mapstop.fluctuation import one_sided_up
 from mapstop.invert import talbot_invert
 from mapstop.jumps import JumpLaw
 from mapstop.model import LevyComponent, MapModel, big_psi, phi
@@ -16,8 +17,9 @@ from mapstop.scale import (ScaleTable, a_threshold, eval_w, eval_w_one,
                            eval_z, eval_z_one,
                            spectral_decompose, w_zero_plus,
                            wiener_closed_form)
+from mapstop.stopping import solve_shepp
 
-from conftest import check_scale_csv, random_model
+from conftest import check_scale_csv, exchangeable_model, random_model
 
 
 def test_root_count_and_phi_among_roots(ivanovs2, wiener2):
@@ -67,6 +69,7 @@ def test_pencil_random_models(seed, n, q):
 
 _Q2 = np.array([[-1.0, 1.0], [2.0, -2.0]])
 _EXP3 = JumpLaw.exponential(3.0)
+_ERL3 = JumpLaw.erlang(2, 3.0)
 _NO = JumpLaw.none()
 
 REPEATED_RATE_MODELS = {
@@ -89,22 +92,80 @@ REPEATED_RATE_MODELS = {
         LevyComponent(1.0, 1.0, ((0.6, _EXP3),)),
         LevyComponent(2.0, 0.0, ((0.9, _EXP3),))),
         ((_NO, _EXP3), (_EXP3, _NO))), 5),
+    # Erlang parts of shapes 2 and 3 at one rate
+    "mixture_2_3": (MapModel(_Q2, (
+        LevyComponent(1.0, 1.0, ((0.8, JumpLaw.mixture([(0.5, 2, 3.0),
+                                                        (0.5, 3, 3.0)])),)),
+        LevyComponent(2.0))), 6),
+    # an Erlang(2) jump part at the rate of an Erlang(2) switch law
+    "erlang_jump_and_switch": (MapModel(_Q2, (
+        LevyComponent(1.0, 0.0, ((0.7, _ERL3),)),
+        LevyComponent(1.5, 1.0)),
+        ((_NO, _ERL3), (_NO, _NO))), 5),
+    # two Erlang(2) jump parts with one rate
+    "two_erlang_parts": (MapModel(_Q2, (
+        LevyComponent(1.0, 0.5, ((0.5, _ERL3), (0.8, _ERL3))),
+        LevyComponent(2.0, 1.0))), 6),
+    # nearly equal stage rates: a near-defective pair in the phases
+    "near_equal_rates": (MapModel(_Q2, (
+        LevyComponent(1.0, 1.0, ((0.5, _ERL3),
+                                 (0.8, JumpLaw.erlang(2, 3.0 + 1e-9)))),
+        LevyComponent(2.0))), 5),
+    # semisimple repeated roots of det(Psi - q I), and a near-repeated pair
+    "exchangeable": (exchangeable_model(0.0), 9),
+    "exchangeable_1e-6": (exchangeable_model(1e-6), 9),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPEATED_RATE_MODELS))
 def test_pencil_repeated_rates(name):
-    """Phases sharing a rate leave modes at the pole -mu that live in the
-    phases only; they are dropped, and only the zeros of det(Psi - q I)
-    remain."""
+    """Parts leaving one state at one stage rate share a chain of phases,
+    and modes that nearly equal rates leave in the phases alone are
+    dropped, so only the zeros of det(Psi - q I) remain, a repeated zero
+    once per eigenvector.  Every residue is a null matrix of Psi - q I at
+    its root."""
     model, n_roots = REPEATED_RATE_MODELS[name]
     q = 1.3
     rep = spectral_decompose(model, q)
     assert len(rep.roots) == n_roots
     _check_pencil_rep(model, q, rep)
-    for z, h in zip(rep.roots, rep.vectors):
-        A = big_psi(model, z) - q * np.eye(2)
-        assert np.abs(A @ h).max() < 1e-10 * (1.0 + np.abs(A).max())
+    for z, R in zip(rep.roots, rep.residues):
+        A = big_psi(model, z) - q * np.eye(model.n_states)
+        assert np.abs(A @ R).max() < 1e-10 * (1.0 + np.abs(A).max()) * np.abs(R).max()
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-6, 1e-5, 1e-4, 1e-2])
+def test_exchangeable_model_is_levy(d):
+    """Near and at the exchangeable MAP, whose repeated roots are
+    semisimple: W matches the contour oracle, every c_j is the root of the
+    one-state model (exact at d = 0, a Levy process in law), and the
+    first-passage row sums are e^{-Phi(q)(a - x)}."""
+    q = 1.5
+    model = exchangeable_model(d)
+    rep = spectral_decompose(model, q)
+    for x in (0.5, 1.5):
+        tb = talbot_invert(model, q, x)
+        assert np.abs(eval_w(rep, x) - tb).max() < 1e-12 * np.abs(tb).max()
+    levy = MapModel(np.zeros((1, 1)), model.components[:1])
+    c1 = solve_shepp(levy, q).states[0].c
+    assert all(abs(st.c - c1) < 1e-9 for st in solve_shepp(model, q).states)
+    rows = one_sided_up(model, q, 0.3, 1.0).sum(axis=1)
+    assert np.abs(rows - np.exp(-rep.phi_q * 0.7)).max() < 1e-12
+
+
+def test_defective_basis_raises(ivanovs2, monkeypatch):
+    """An eigenvector basis with two equal columns (a defective root) is a
+    typed failure, not a residue read off a singular basis."""
+    exact = mapstop.scale.eig
+
+    def doubled(a, b):
+        vals, right = exact(a, b)
+        right[:, 1] = right[:, 0]
+        return vals, right
+
+    monkeypatch.setattr(mapstop.scale, "eig", doubled)
+    with pytest.raises(DegenerateRoots):
+        spectral_decompose(ivanovs2, 1.8)
 
 
 def test_w_zero_check_raises(ivanovs2, monkeypatch):
