@@ -39,10 +39,6 @@ class RootCountMismatch(MapstopError):
     pass
 
 
-class SingularScaleMatrix(MapstopError):
-    pass
-
-
 class InversionUnstable(MapstopError):
     pass
 

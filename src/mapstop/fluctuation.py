@@ -7,8 +7,10 @@ level x in modulator state i, for barriers 0 and a:
     id1  E[e^{-q T_a}; T_a < T_0, J = j]      (up before down)
     id2  E[e^{-q T_0}; T_0 < T_a, J = j]      (down before up)
 
-id1 and id2 are ratios of scale matrices; id0 comes from the residues at
-the positive spectral roots.  The generator residual H_i(x)
+id0 comes from the residues at the positive spectral roots.  id1 and id2
+are W(x) W(a)^{-1} and Z(x) - W(x) W(a)^{-1} Z(a), both read from one
+kernel that scales the up-root growth out of W before it inverts, so they
+hold at any barrier height.  The generator residual H_i(x)
 verifies that x -> [Z^(q)(x) 1]_i kills the discounted generator on
 x > 0 and equals -q below zero.
 """
@@ -18,14 +20,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import EigenFailure, QuadratureFailure, SingularScaleMatrix, ValidationError
+from .errors import EigenFailure, QuadratureFailure, ValidationError
 from .model import MapModel, big_psi
 from .scale import (
     SpectralRep,
-    eval_w,
+    _real_cast,
     eval_w_one,
     eval_w_one_deriv,
-    eval_z,
     eval_z_one,
     spectral_decompose,
 )
@@ -37,7 +38,6 @@ __all__ = [
     "generator_check",
 ]
 
-COND_LIMIT = 1e12
 TAIL_MEANS = 40.0
 
 
@@ -53,8 +53,8 @@ def one_sided_up(model: MapModel, q: float, x: float, a: float):
     EigenFailure when a residue misses its root, i.e. |(Psi(zeta_k) - q I)
     R_k| > 1e-8 (1 + |Psi(zeta_k) - q I|) max|R_k|.
     """
-    if not x <= a:
-        raise ValidationError("requires x <= a")
+    if not -np.inf < x <= a < np.inf:
+        raise ValidationError("requires finite x <= a")
     rep = spectral_decompose(model, q)
     up = rep.roots.real > 0
     pos, R = rep.roots[up], rep.residues[up]
@@ -73,21 +73,39 @@ def one_sided_up(model: MapModel, q: float, x: float, a: float):
 # --- two-sided exits ---------------------------------------------------
 
 
-def _w_inverse_at(rep: SpectralRep, a: float):
-    Wa = eval_w(rep, a)
-    cond = np.linalg.cond(Wa)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularScaleMatrix(
-            f"W(a) at a={a} has condition number {cond:.2e}"
-        )
-    return np.linalg.inv(Wa)
+def _two_sided(rep: SpectralRep, x: float, a: float):
+    """(up, down) = (W(x) W(a)^{-1}, Z(x) - W(x) W(a)^{-1} Z(a)), free of growth.
+
+    The N up-roots lead rep.roots; their residues are rank one, S = sum_up R_k = H G
+    and D(a) = S^{-1} sum_up R_k e^{-zeta_k a} = G^{-1} E(-a) G.  With L(y) the
+    other roots' sum, up = [W(x) D(a)] [W(a) D(a)]^{-1}, W(y) D(a) = sum_up R_k
+    e^{zeta_k (y-a)} + L(y) D(a).  With C = S^{-1} sum_up R_k/zeta_k,
+    Z = W C (qI - Q) + N and down = N(x) - up N(a).  No exponent is positive for
+    0 <= x <= a; x < 0 gives (0, I); a singular W(a) raises EigenFailure.
+    """
+    if not -np.inf < x <= a < np.inf:
+        raise ValidationError("requires finite x <= a")
+    n = rep.n_states
+    if x < 0:
+        return np.zeros((n, n)), np.eye(n)
+    z_u, z_d = rep.roots[:n], rep.roots[n:]
+    em1_d = np.expm1(np.outer([x, a], z_d))
+    w_u = np.array([np.exp(z_u * (x - a)), np.ones(n), np.exp(-z_u * a), 1.0 / z_u])
+    E_x, S, E_a, R_z = (w_u @ rep.residues[:n].reshape(n, -1)).reshape(4, n, n)
+    w_d = np.concatenate([em1_d + 1.0, em1_d / z_d])  # L(x), L(a), then their integrals
+    L, T = (w_d @ rep.residues[n:].reshape(len(z_d), -1)).reshape(2, 2, n, n)
+    D_a, C = np.linalg.solve(S, np.array([E_a, R_z]))
+    N = np.eye(n) + (T - (S + L) @ C) @ (rep.q * np.eye(n) - rep.q_matrix)  # N(x), N(a)
+    try:
+        up = np.linalg.solve((S + L[1] @ D_a).T, (E_x + L[0] @ D_a).T).T
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"W(a) is singular at a = {a}") from exc
+    return _real_cast(up), _real_cast(N[0] - up @ N[1])
 
 
 def two_sided_up(rep: SpectralRep, x: float, a: float):
     """E_{(x,i)}[e^{-q tau_a^+}; tau_a^+ < tau_0^-, J = j] = W(x) W(a)^{-1}."""
-    if not x <= a:
-        raise ValidationError("requires x <= a")
-    return eval_w(rep, x) @ _w_inverse_at(rep, a)
+    return _two_sided(rep, x, a)[0]
 
 
 def two_sided_down(rep: SpectralRep, x: float, a: float):
@@ -96,9 +114,7 @@ def two_sided_down(rep: SpectralRep, x: float, a: float):
     Z(x) - W(x) W(a)^{-1} Z(a); the identity matrix for x <= 0 (the level
     starts below the barrier, so the exit is immediate and undiscounted).
     """
-    if not x <= a:
-        raise ValidationError("requires x <= a")
-    return eval_z(rep, x) - two_sided_up(rep, x, a) @ eval_z(rep, a)
+    return _two_sided(rep, x, a)[1]
 
 
 # --- generator residual ------------------------------------------------

@@ -34,10 +34,10 @@ class JumpLaw:
     def __post_init__(self):
         comps = []
         for w, k, mu in self.components:
-            k = int(k)
-            if not (0 < w < np.inf and k >= 1 and 0 < mu < np.inf):
-                raise ModelShapeMismatch("mixture components need finite w>0, shape>=1, rate>0")
-            comps.append((float(w), k, float(mu)))
+            if not (0 < w < np.inf and 1 <= k < np.inf and k % 1 == 0 and 0 < mu < np.inf):
+                raise ModelShapeMismatch(
+                    "mixture components need finite w>0, integral shape>=1, rate>0")
+            comps.append((float(w), int(k), float(mu)))
         total = sum(w for w, _, _ in comps)
         if comps and abs(total - 1.0) > 1e-12:
             comps = [(w / total, k, mu) for w, k, mu in comps]
@@ -55,7 +55,7 @@ class JumpLaw:
 
     @staticmethod
     def erlang(shape, rate) -> "JumpLaw":
-        return JumpLaw(((1.0, int(shape), float(rate)),))
+        return JumpLaw(((1.0, shape, float(rate)),))
 
     @staticmethod
     def mixture(parts) -> "JumpLaw":

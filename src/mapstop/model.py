@@ -209,8 +209,11 @@ def big_psi(model: MapModel, z):
 
 
 def kappa(model: MapModel, theta: float) -> float:
-    """Perron-Frobenius eigenvalue of Psi(theta) for real theta."""
-    M = big_psi(model, float(theta))
+    """Perron-Frobenius eigenvalue of Psi(theta) for finite real theta."""
+    theta = float(theta)
+    if not -np.inf < theta < np.inf:
+        raise ValidationError("theta must be finite")
+    M = big_psi(model, theta)
     try:
         vals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
@@ -259,8 +262,8 @@ def perron_vector(model: MapModel, theta: float):
 def phi(model: MapModel, q: float) -> float:
     """Right inverse Phi(q) = sup{theta >= 0 : kappa(theta) = q}."""
     q = float(q)
-    if not q >= 0:
-        raise ValidationError("q must be >= 0")
+    if not 0 <= q < np.inf:
+        raise ValidationError("q must be finite and >= 0")
     hi = 1.0
     while kappa(model, hi) <= q:
         hi *= 2.0

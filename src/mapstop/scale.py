@@ -181,8 +181,8 @@ def spectral_decompose(model: MapModel, q: float) -> SpectralRep:
     and RootCountMismatch when not exactly N roots have positive real part.
     """
     q = float(q)
-    if not q > 0:
-        raise ValidationError("spectral decomposition requires q > 0")
+    if not 0 < q < math.inf:
+        raise ValidationError("spectral decomposition requires finite q > 0")
     n = model.n_states
     A, B = _phase_embedding(model, q)
     vals, right = eig(-A, B)

@@ -497,12 +497,14 @@ def estimate_exit(model: MapModel, config: SimConfig, q: float, x: float,
     q = float(q)
     x = float(x)
     a = float(a)
+    if not 0 <= q < math.inf:
+        raise ValidationError("q must be finite and >= 0")
     if config.dt > 1e-3 + 1e-15:
         raise ValidationError("exit estimates require dt <= 1e-3")
-    if not a > 0:
-        raise ValidationError("upper barrier must be positive")
-    if not x <= a:
-        raise ValidationError("requires x <= a")
+    if not 0 < a < math.inf:
+        raise ValidationError("upper barrier must be finite and positive")
+    if not -math.inf < x <= a:
+        raise ValidationError("requires finite x <= a")
     n = model.n_states
     vals = {k: np.zeros((n, n)) for k in ("c0", "c1", "c2")}
     ses = {k: np.zeros((n, n)) for k in ("c0", "c1", "c2")}
@@ -541,6 +543,8 @@ def estimate_stopped_gain(model: MapModel, config: SimConfig, q: float,
     x0, s0, i0, j0 = start
     x0 = float(x0)
     s0 = float(s0)
+    if not 0 <= q < math.inf:
+        raise ValidationError("q must be finite and >= 0")
     if x0 > s0 + 1e-12:
         raise ValidationError("start needs x <= s")
     fn = _boundary_callable(boundary, model.n_states)

@@ -31,6 +31,7 @@ from .errors import (
     Unbounded,
     ValidationError,
 )
+from .fluctuation import _two_sided
 from .model import MapModel, kappa
 from .scale import (
     STEP_DEFAULT,
@@ -88,19 +89,19 @@ class GainSpec:
     @staticmethod
     def shepp(h) -> "GainSpec":
         h = np.asarray(h, dtype=float)
-        if (h <= 0).any():
-            raise ValidationError("gain weights must be positive")
+        if not ((0 < h) & (h < np.inf)).all():
+            raise ValidationError("gain weights must be finite and positive")
         return GainSpec(kind="shepp", h=h)
 
     @staticmethod
     def capped(h, cap, eps) -> "GainSpec":
         h = np.asarray(h, dtype=float)
-        if (h <= 0).any():
-            raise ValidationError("gain weights must be positive")
+        if not ((0 < h) & (h < np.inf)).all():
+            raise ValidationError("gain weights must be finite and positive")
         cap = float(cap)
         eps = float(eps)
-        if cap <= 0 or eps <= math.log(cap):
-            raise ValidationError("capped gain needs K > 0 and eps > log K")
+        if not (0 < cap < math.inf and math.log(cap) < eps < math.inf):
+            raise ValidationError("capped gain needs finite K > 0 and eps > log K")
         return GainSpec(kind="capped", h=h, cap=cap, eps=eps)
 
     @property
@@ -193,11 +194,11 @@ class StopSolution:
         state Jbar = j in which the maximum was last set.  With
         y = x - s + c_j > 0 the two-sided exit from [s - c_j, s] gives
 
-            V = e^s ( [W(y) W(c_j)^{-1} (m - h_j Z(c_j) 1)]_i + h_j [Z(y) 1]_i ),
+            V = e^s ( [up m]_i + h_j [down 1]_i ),
 
-        m the values at the maximum (see _peak_values); for y <= 0 it is
-        f(s, j).  Raises BoundaryMissing unless every state has a boundary,
-        and ValidationError when x > s.
+        up = W(y) W(c_j)^{-1}, down = Z(y) - up Z(c_j), m the values at the maximum
+        (see _peak_values); f(s, j) for y <= 0.  Raises BoundaryMissing unless every
+        state has a boundary, and ValidationError when x > s.
         """
         x = float(x)
         s = float(s)
@@ -208,11 +209,8 @@ class StopSolution:
         y = c + min(x - s, 0.0)
         if y <= 0:
             return float(self.gain.f(s, j))
-        h = self.gain.h[j]
-        w_y, w_c = eval_w(self.rep, np.array([y, c]))
-        z_y, z_c = eval_z_one(self.rep, np.array([y, c]))
-        below = w_y[i] @ np.linalg.solve(w_c, m - h * z_c)
-        return math.exp(s) * float(below + h * z_y[i])
+        up, down = _two_sided(self.rep, y, c)
+        return math.exp(s) * float(up[i] @ m + self.gain.h[j] * down[i].sum())
 
 
 def solve_shepp(model: MapModel, q: float, h=None,
@@ -299,8 +297,8 @@ def solve_boundary_ode(model: MapModel, q: float, gain: GainSpec, s_range,
     """
     q = float(q)
     s0, s1 = float(s_range[0]), float(s_range[1])
-    if s1 <= s0:
-        raise ValidationError("empty s-range")
+    if not -math.inf < s0 < s1 < math.inf:
+        raise ValidationError("s-range must be finite and nonempty")
     if not 0 < step <= s1 - s0:
         raise ValidationError("step must lie in (0, s1 - s0]")
     if s0 <= gain.s_min:

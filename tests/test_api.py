@@ -16,14 +16,15 @@ MODULES = ["mapstop"] + [
 REMOVED = {
     "mapstop.scale": ["DiagLimit", "w_prime_zero_plus", "SPURIOUS_TOL",
                       "eval_z_prime", "CubicSpline", "ROOT_SEP_TOL"],
-    "mapstop.fluctuation": ["FirstPassageRep", "first_passage_rep"],
+    "mapstop.fluctuation": ["FirstPassageRep", "first_passage_rep", "COND_LIMIT",
+                            "_w_inverse_at"],
     "mapstop.stopping": ["regime_report", "RegimeReport", "StateRegime", "value",
                          "UNBOUNDED"],
     "mapstop.model": ["path_classes", "big_psi_deriv", "validate", "Diagnostic",
                       "esscher_tilt"],
     "mapstop": ["validate", "Diagnostic", "esscher_tilt"],
     "mapstop.cli": ["_load"],
-    "mapstop.errors": ["ConstraintViolation", "DivisionNearZero"],
+    "mapstop.errors": ["ConstraintViolation", "DivisionNearZero", "SingularScaleMatrix"],
     "mapstop.simulate": ["_gain_values"],
 }
 

@@ -80,6 +80,18 @@ def test_exit_command(tmp_path):
     assert abs(vals[("id2", "1", "1")] - 0.3329) < 1e-3
 
 
+def test_exit_command_high_barrier(tmp_path):
+    """Exit matrices stay discounted probabilities far up: wiener2 at a = 10
+    writes id2 entries in [0, 1], and ivanovs2 at a = 60 exits 0."""
+    assert cli.main(["exit", "wiener2", "--q", "1.5", "--x", "9.7", "--a", "10",
+                     "--out", str(tmp_path)]) == 0
+    id2 = [float(r["value"]) for r in read_rows(tmp_path / "exit_q1.5.csv")
+           if r["functional"] == "id2"]
+    assert len(id2) == 4 and all(0.0 <= v <= 1.0 for v in id2)
+    assert cli.main(["exit", "ivanovs2", "--q", "1.5", "--x", "30", "--a", "60",
+                     "--out", str(tmp_path)]) == 0
+
+
 def test_boundary_command(tmp_path):
     rc = cli.main(["boundary", "ivanovs2", "--q", "1.8", "--s0", "0.2",
                    "--s1", "0.5", "--step", "0.01", "--out", str(tmp_path)])
@@ -163,15 +175,26 @@ def test_exit_codes(tmp_path):
     ["exit", "ivanovs2", "--q", "1.5", "--x", "0.5", "--a", "nan"],
     ["simulate", "ivanovs2", "--functional", "id1", "--dt", "nan"],
     ["simulate", "ivanovs2", "--functional", "id1", "--horizon", "nan"],
+    ["scale", "ivanovs2", "--q", "inf"],
+    ["shepp", "ivanovs2", "--q", "inf"],
+    ["exit", "ivanovs2", "--q", "inf", "--x", "0.5", "--a", "1"],
+    ["boundary", "ivanovs2", "--q", "1.8", "--s0", "0.2", "--s1", "inf"],
+    ["kappa", "ivanovs2", "--theta-max", "nan"],
+    ["kappa", "ivanovs2", "--theta-max", "inf"],
+    ["simulate", "ivanovs2", "--q", "nan", "--functional", "id1", "--paths", "100"],
+    ["shepp", "ivanovs2", "--q", "1.8", "--h", "nan", "1"],
+    ["exit", "ivanovs2", "--q", "1.5", "--x", "inf", "--a", "inf"],
 ], ids=["scale_xmax_negative", "scale_step_negative", "scale_step_zero",
         "boundary_step_zero", "boundary_step_beyond_range",
         "shepp_xmax_negative", "shepp_xmax_zero", "kappa_grid_negative",
         "kappa_grid_zero", "shepp_q_nan", "boundary_q_nan", "scale_q_nan",
         "kappa_q_nan", "exit_x_nan", "exit_a_nan", "simulate_dt_nan",
-        "simulate_horizon_nan"])
+        "simulate_horizon_nan", "scale_q_inf", "shepp_q_inf", "exit_q_inf",
+        "boundary_s1_inf", "kappa_theta_max_nan", "kappa_theta_max_inf",
+        "simulate_q_nan", "shepp_h_nan", "exit_x_a_inf"])
 def test_bad_grid_is_validation_error(tmp_path, argv):
-    """A grid with no points, or a NaN where a range is checked, is bad
-    input (exit 2), not a traceback, and nothing is written."""
+    """A grid with no points, or a NaN or infinity where a range is checked,
+    is bad input (exit 2), not a traceback, and nothing is written."""
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     assert not os.listdir(tmp_path)
 

@@ -1,11 +1,14 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
-from mapstop.errors import ValidationError
+from mapstop.errors import MapstopError, ValidationError
 from mapstop.fluctuation import (generator_check, one_sided_up, two_sided_down,
                                  two_sided_up)
-from mapstop.model import phi
+from mapstop.model import LevyComponent, MapModel, phi
 from mapstop.scale import spectral_decompose
+
+from conftest import random_model
 
 
 def test_one_sided_up_basic(ivanovs2):
@@ -118,3 +121,98 @@ def test_generator_check_rejects_origin(ivanovs2):
     rep = spectral_decompose(ivanovs2, 1.5)
     with pytest.raises(ValidationError):
         generator_check(ivanovs2, rep, 0.0, 0)
+
+
+# --- exit kernel at any barrier height --------------------------------
+
+
+def _rank_one(R):
+    """(h, g) with R = h g, split at the largest entry of the rank-one R."""
+    i, j = np.unravel_index(np.abs(R).argmax(), R.shape)
+    return R[:, j], R[i] / R[i, j]
+
+
+def _exact_two_sided(rep, x, a):
+    """W(x) W(a)^{-1} and Z(x) - W(x) W(a)^{-1} Z(a) from the residue sums in
+    mpmath, each R_k built exactly as h_k g_k from the float roots and factors.
+
+    The e^{zeta a} growth costs about a (2 zeta_1 - zeta_N) / 2.3 digits over
+    the up-roots zeta_1 >= ... >= zeta_N, so that many plus 40 are carried.
+    """
+    up = rep.roots.real[rep.roots.real > 0]
+    n = rep.n_states
+    with mp.workdps(int(40 + a * (2 * up.max() - up.min()) / 2.3)):
+        terms = []
+        for z, R in zip(rep.roots, rep.residues):
+            h, g = _rank_one(R)
+            terms.append((mp.mpc(complex(z)), mp.matrix(
+                [[mp.mpc(complex(h[i])) * mp.mpc(complex(g[j])) for j in range(n)]
+                 for i in range(n)])))
+        F = mp.matrix((rep.q * np.eye(n) - rep.q_matrix).tolist())
+
+        def w(y):
+            return sum((R * mp.exp(z * y) for z, R in terms), mp.zeros(n, n))
+
+        def z_(y):
+            tail = sum((R * ((mp.exp(z * y) - 1) / z) for z, R in terms), mp.zeros(n, n))
+            return mp.eye(n) + tail * F
+
+        ratio = w(x) * mp.inverse(w(a))
+        down = z_(x) - ratio * z_(a)
+        return tuple(np.array([[float(mp.re(M[i, j])) for j in range(n)] for i in range(n)])
+                     for M in (ratio, down))
+
+
+@pytest.mark.parametrize("name", ["ivanovs2", "wiener2", "random_3_4"])
+@pytest.mark.parametrize("a", [1.0, 5.0, 10.0])
+def test_two_sided_matches_exact_sums(name, a, request):
+    """Both exits agree with an extended-precision evaluation of the same
+    residue sums within 1e-14, at barriers where W(a) is ill-conditioned."""
+    model = random_model(3, 4) if name == "random_3_4" else request.getfixturevalue(name)
+    rep = spectral_decompose(model, 1.5)
+    for x in (0.3, a / 2, a - 0.3):
+        ref_up, ref_down = _exact_two_sided(rep, x, a)
+        assert np.abs(two_sided_up(rep, x, a) - ref_up).max() < 1e-14
+        assert np.abs(two_sided_down(rep, x, a) - ref_down).max() < 1e-14
+
+
+@pytest.mark.parametrize("a", [2.0, 5.0, 10.0])
+def test_two_sided_strong_markov_split_wiener(wiener2, a):
+    """Continuous paths pass through 0 before reaching a from below, so
+    id0(x -> a) = up(x, a) + down(x, a) id0(0 -> a)."""
+    q = 1.5
+    rep = spectral_decompose(wiener2, q)
+    from_zero = one_sided_up(wiener2, q, 0.0, a)
+    for x in (0.3, a / 2, a - 0.3):
+        split = two_sided_up(rep, x, a) + two_sided_down(rep, x, a) @ from_zero
+        assert np.abs(one_sided_up(wiener2, q, x, a) - split).max() < 1e-13
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("a", [2.0, 5.0])
+def test_two_sided_rows_are_probabilities(seed, a):
+    """Row sums of up, down and up + down lie in [0, 1] on 4-state models."""
+    rep = spectral_decompose(random_model(seed, 4), 1.5)
+    for x in (a / 2, a - 0.1):
+        up, down = two_sided_up(rep, x, a), two_sided_down(rep, x, a)
+        for rows in (up.sum(axis=1), down.sum(axis=1), (up + down).sum(axis=1)):
+            assert (rows >= -1e-12).all() and (rows <= 1.0 + 1e-12).all()
+
+
+@pytest.mark.parametrize("name, a", [("ivanovs2", 1e-12), ("brownian", 1e-20)])
+def test_two_sided_tiny_barrier_is_typed(name, a, request):
+    """At a tiny barrier the exits are probabilities or a typed MapstopError,
+    never a raw LinAlgError.  The residues of a one-state Brownian motion
+    cancel exactly, so there W(1e-20) is the zero matrix."""
+    if name == "brownian":
+        model = MapModel(np.zeros((1, 1)), (LevyComponent(0.0, 1.0),))
+    else:
+        model = request.getfixturevalue(name)
+    rep = spectral_decompose(model, 1.5)
+    for x in (0.0, a / 2, a):
+        try:
+            up, down = two_sided_up(rep, x, a), two_sided_down(rep, x, a)
+        except MapstopError:
+            continue
+        for rows in (up.sum(axis=1), down.sum(axis=1), (up + down).sum(axis=1)):
+            assert (rows >= -1e-12).all() and (rows <= 1.0 + 1e-12).all()

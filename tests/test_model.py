@@ -177,7 +177,10 @@ def test_non_finite_input_is_refused(key, value, rule):
     lambda: JumpLaw.exponential(0.0),
     lambda: JumpLaw.mixture([(0.0, 1, 2.0)]),
     lambda: MapModel(np.zeros((2, 2)), (LevyComponent(1.0),)),
-], ids=["rate", "trivial_law", "jump_rate", "weight", "shape"])
+    lambda: JumpLaw(((1.0, float("nan"), 2.0),)),
+    lambda: JumpLaw(((1.0, 2.5, 2.0),)),
+], ids=["rate", "trivial_law", "jump_rate", "weight", "shape", "erlang_shape_nan",
+        "erlang_shape_fraction"])
 def test_constructor_errors_are_typed(build):
     with pytest.raises(ModelShapeMismatch):
         build()
