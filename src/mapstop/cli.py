@@ -49,6 +49,8 @@ def _write_csv(path, header, rows):
 def cmd_kappa(args):
     if args.grid < 1:
         raise ValidationError("--grid needs at least one point")
+    if not math.isfinite(args.theta_max):
+        raise ValidationError("--theta-max must be finite")
     model = load_model(args.model)
     n = model.n_states
     thetas = np.linspace(0.0, args.theta_max, args.grid)

@@ -8,11 +8,12 @@ one-sided bias) and by exact linear interpolation on drift-only segments.
 
 Randomness protocol
 -------------------
-Path p started in state start_state draws from its own counter-based
-stream keyed by (master_seed, (start_state << 40) | p), so every path is a
-pure function of the seed, its start state and its index, independent of
-batching.  All draws are consumed as uniforms in a fixed chronological
-order per path:
+Path p started in state start_state draws from its own stream of numpy's
+Philox4x64-10 (Salmon et al., SC'11) keyed [master_seed, (start_state << 40)
+| p], so every path is a pure function of the seed, its start state and its
+index, independent of batching.  The generator is counter-based, so one bit
+generator per batch, re-keyed at each refill, reads every path's stream.
+All draws are consumed as uniforms in a fixed chronological order per path:
 
   * entering a state (including at time 0): 2 uniforms (holding time,
     switch target), then 1 more when the state carries compound jumps
@@ -110,15 +111,26 @@ def _estimate(contrib):
 
 
 class _Tape:
-    """Per-path buffered uniform streams (counter-based, splittable)."""
+    """Per-path buffered uniform streams read through one re-keyed Philox.
+
+    Row r holds draws _start[r] onward of the stream keyed [master_seed,
+    tags[r]].  Philox is counter-based (draw n is word n % 4 of block
+    n // 4), so a refill re-keys the one bit generator at the row's next
+    draw and reads exactly what a generator of the row's own would.
+    """
 
     def __init__(self, master_seed, tags):
-        self._gens = [
-            np.random.Generator(np.random.Philox(key=[int(master_seed), int(tag)]))
-            for tag in tags
-        ]
+        self._tags = tags
+        self._bitgen = np.random.Philox(key=[0, 0])
+        self._gen = np.random.Generator(self._bitgen)
+        # the seed goes in through the state (counter 0, empty buffer), as
+        # Philox's key argument maps words >= 2**63 onto others; a refill
+        # rewrites the counter and the tag
+        self._state = self._bitgen.state
+        self._state["state"]["key"][0] = int(master_seed)
         p = len(tags)
         self._buf = np.zeros((p, _CHUNK))
+        self._start = np.full(p, -_CHUNK, dtype=np.int64)
         self._pos = np.full(p, _CHUNK, dtype=np.int64)
 
     def take(self, idx, k):
@@ -126,10 +138,14 @@ class _Tape:
         pos = self._pos[idx]
         for r in idx[pos + k > _CHUNK]:
             rr = int(r)
-            rem = _CHUNK - self._pos[rr]
-            if rem:
-                self._buf[rr, :rem] = self._buf[rr, self._pos[rr]:]
-            self._buf[rr, rem:] = self._gens[rr].random(_CHUNK - rem)
+            n = int(self._start[rr] + self._pos[rr])
+            # numpy's Philox bumps the counter before each block, so
+            # counter n // 4 with an empty buffer next yields block n // 4
+            self._state["state"]["counter"][0] = n // 4
+            self._state["state"]["key"][1] = self._tags[rr]
+            self._bitgen.state = self._state
+            self._buf[rr] = self._gen.random(n % 4 + _CHUNK)[n % 4:]
+            self._start[rr] = n
             self._pos[rr] = 0
         pos = self._pos[idx]
         out = self._buf[idx[:, None], pos[:, None] + np.arange(k)[None, :]]

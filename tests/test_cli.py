@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -194,8 +195,11 @@ def test_exit_codes(tmp_path):
         "simulate_q_nan", "shepp_h_nan", "exit_x_a_inf"])
 def test_bad_grid_is_validation_error(tmp_path, argv):
     """A grid with no points, or a NaN or infinity where a range is checked,
-    is bad input (exit 2), not a traceback, and nothing is written."""
-    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    is bad input (exit 2), not a traceback, and nothing is written; the
+    input is refused before any numpy warning can be raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     assert not os.listdir(tmp_path)
 
 

@@ -4,19 +4,68 @@ Kept at modest path counts so the whole file stays around half a minute;
 the heavy statistical comparisons live in the acceptance tests.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+from mapstop import simulate
 from mapstop.errors import HorizonTooShort, ValidationError
 from mapstop.fluctuation import one_sided_up, two_sided_down, two_sided_up
 from mapstop.scale import spectral_decompose
-from mapstop.simulate import (SimConfig, estimate_exit, estimate_stopped_gain,
-                              sample_path, verify_mgf)
+from mapstop.simulate import (SimConfig, _Tape, estimate_exit,
+                              estimate_stopped_gain, sample_path, verify_mgf)
 from mapstop.stopping import GainSpec, solve_shepp
 
 
 def small_cfg(n=400, dt=1e-3, horizon=50.0, seed=20260822):
     return SimConfig(dt=dt, horizon=horizon, n_paths=n, master_seed=seed)
+
+
+def test_tape_rows_are_philox_streams():
+    """Each tape row reads numpy's Philox stream keyed [seed, tag] bit for
+    bit, while uneven takes over changing row subsets carry every row
+    through several refills that start inside a four-word block."""
+    seed = 20260822
+    tags = [0, (1 << 40) | 7, (3 << 40) | 19999]
+    tape = _Tape(seed, tags)
+    got = [[] for _ in tags]
+    i = 0
+    while min(map(len, got)) <= 600:
+        idx = np.array([r for r in range(len(tags)) if (i + r) % 4])
+        for r, row in zip(idx, tape.take(idx, (1, 2, 3, 5, 9)[i % 5])):
+            got[r].extend(row)
+        i += 1
+    for tag, draws in zip(tags, got):
+        ref = np.random.Generator(np.random.Philox(key=[seed, tag]))
+        assert np.array_equal(np.array(draws), ref.random(len(draws)))
+
+
+def test_tape_keys_every_64_bit_seed():
+    """Seeds at and above 2**63 keep their own key words: numpy's key
+    conversion maps 2**63 + 5 to 2**63 and 2**64 - 1 to 0 (with a
+    RuntimeWarning), and the tape does not go through it."""
+    idx = np.array([0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = {seed: _Tape(seed, [7]).take(idx, 8)
+                 for seed in (0, 2**63, 2**63 + 5, 2**64 - 1)}
+    assert len({d.tobytes() for d in draws.values()}) == 4
+
+
+def test_tape_builds_one_bit_generator(monkeypatch):
+    """A tape over 20,000 paths constructs one Philox, not one per path."""
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(simulate.np.random, "Philox", counting)
+    tape = _Tape(20260822, [(1 << 40) | p for p in range(20000)])
+    assert tape.take(np.arange(20000), 2).shape == (20000, 2)
+    assert len(built) <= 1
 
 
 def test_sample_path_structure(ivanovs2):
