@@ -95,16 +95,23 @@ def cmd_shepp(args):
     model = load_model(args.model)
     h = np.array(args.h, dtype=float) if args.h else np.ones(model.n_states)
     sol = solve_shepp(model, args.q, h=h, x_max=args.xmax)
+    # value per unit e^s at a running maximum set in each state (m_j), and
+    # whether the rule beats stopping at once (m_j >= h_j)
+    m = (sol._peak_values if all(st.has_boundary for st in sol.states)
+         else None)
     d = _out_dir(args)
     doc = {
         "q": args.q,
         "kappa1": sol.kappa1,
+        "value_at_max": None if m is None else [float(v) for v in m],
         "states": [
             {
                 "state": st.state + 1,
                 "regime": st.regime,
                 "c": None if math.isnan(st.c) else st.c,
                 "a": "infinity" if math.isinf(st.a) else st.a,
+                "beats_stopping": (None if m is None
+                                   else bool(m[st.state] >= h[st.state])),
             }
             for st in sol.states
         ],

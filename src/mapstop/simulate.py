@@ -1,10 +1,18 @@
 """Monte Carlo oracle for the modulated additive process.
 
-Paths are advanced in vectorized lockstep: exact exponential modulator
-holding times, exact compound-Poisson jump times within a state, and an
-Euler scheme on a dt grid for the Brownian part.  Barrier crossings are
-read at grid resolution for diffusive states (the usual O(sqrt(dt))
+Paths are advanced in vectorized lockstep rounds: exact exponential
+modulator holding times, exact compound-Poisson jump times within a state,
+and an Euler scheme on a dt grid for the Brownian part.  Barrier crossings
+are read at grid resolution for diffusive states (the usual O(sqrt(dt))
 one-sided bias) and by exact linear interpolation on drift-only segments.
+
+Each round first runs every diffusive path through its quiet dt steps,
+those after which no event, check or freeze fires, in one block of up to
+_CHUNK steps (fewer when many paths are live).  The block repeats the
+one-step arithmetic in its order, and the uniforms it reads but does not
+use go back to the tape, so the draws and every path are the same bit for
+bit at any block width.  Then the round's one step takes each path to or
+through its next event.
 
 Randomness protocol
 -------------------
@@ -52,8 +60,17 @@ __all__ = [
 ]
 
 _CHUNK = 256
+_BLOCK = 16384
 _FREEZE = 1e-10
 _RESOLVE = 1e-8
+
+
+def _is_index(v, n):
+    """Whether v is an integer (of any numeric type) in [0, n)."""
+    try:
+        return int(v) == v and 0 <= v < n
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -66,14 +83,14 @@ class SimConfig:
     master_seed: int = 20260822
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValidationError("dt must be positive")
-        if not self.horizon > 0:
-            raise ValidationError("horizon must be positive")
-        if self.n_paths < 100:
-            raise ValidationError("need at least 100 paths")
-        if not (0 <= int(self.master_seed) < 2**64):
-            raise ValidationError("master_seed must fit in 64 bits")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError("dt must be finite and positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValidationError("horizon must be finite and positive")
+        if not (_is_index(self.n_paths, 2**40) and self.n_paths >= 100):
+            raise ValidationError("n_paths must be an integer in [100, 2**40)")
+        if not _is_index(self.master_seed, 2**64):
+            raise ValidationError("master_seed must be an integer in [0, 2**64)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +168,11 @@ class _Tape:
         out = self._buf[idx[:, None], pos[:, None] + np.arange(k)[None, :]]
         self._pos[idx] = pos + k
         return out
+
+    def give_back(self, idx, counts):
+        """Return the last counts[r] uniforms taken for each path in idx;
+        they are the next ones taken again."""
+        self._pos[idx] -= counts
 
 
 def _draw_mags(tape, idx, law):
@@ -353,11 +375,79 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, a=None,
     if mode == "trace" and eng.alive.any():
         record()
 
+    def quiet_steps(act):
+        """Run the diffusive paths in act through their leading quiet steps,
+        full dt steps after which no event, check or freeze fires, in one
+        block of up to k steps per path.  The block repeats the one-step
+        loop's operations in its order (numpy's accumulate is a sequential
+        left fold), so every path is bit for bit the same at any width."""
+        d = act[eng.sigma[eng.state[act]] > 0]
+        m = d.size
+        if not 0 < m <= _BLOCK // 2:  # room for two steps per path
+            return
+        k = min(_CHUNK, _BLOCK // m)
+        st = eng.state[d]
+        u = np.clip(eng.tape.take(d, k), 1e-300, 1.0 - 1e-16)
+        steps = np.empty((m, 2 * k + 1))
+        steps[:, 0] = eng.x[d]
+        steps[:, 1::2] = (eng.drift[st] * dt)[:, None]
+        steps[:, 2::2] = (eng.sigma[st] * math.sqrt(dt))[:, None] * ndtri(u)
+        x = np.add.accumulate(steps, axis=1)[:, 0::2]
+
+        def clock(ufunc, start):
+            col = np.full((m, k + 1), dt)
+            col[:, 0] = start
+            return ufunc.accumulate(col, axis=1)
+
+        t = clock(np.add, eng.t[d])
+        hold = clock(np.subtract, eng.hold[d])
+        jrem = clock(np.subtract, eng.jrem[d])
+        tn, xn = t[:, 1:], x[:, 1:]
+        # step j runs a full dt with no clock ringing, leaves the path
+        # active ...
+        quiet = ((np.minimum(hold[:, :-1], jrem[:, :-1]) > dt)
+                 & (t_stop - t[:, :-1] > dt) & (tn < t_stop - 1e-12))
+        # ... and no check or freeze fires after it
+        if mode == "exit":
+            quiet &= (xn < a) & ((xn >= 0.0) | down_seen[d][:, None])
+        if mode in ("gain", "trace"):
+            # a step sets (xbar, jbar) when x reaches the previous maximum
+            cand = x.copy()
+            cand[:, 0] = eng.xbar[d]
+            new = xn >= np.maximum.accumulate(cand, axis=1)[:, :-1]
+            last = np.zeros((m, k + 1), dtype=np.int64)
+            last[:, 1:] = np.maximum.accumulate(
+                np.where(new, np.arange(1, k + 1), 0), axis=1)
+            xbar = np.take_along_axis(cand, last, axis=1)
+            jbar = np.where(last > 0, st[:, None], eng.jbar[d][:, None])
+            xb, jb = xbar[:, 1:], jbar[:, 1:]
+        if mode == "gain":
+            bnd = boundary_fn(xb.ravel(), jb.ravel())
+            quiet &= ~((xb.ravel() - xn.ravel()) > bnd).reshape(m, k)
+        if mode == "gain" and q > 0:
+            bound = np.exp(-q * tn) * gain.f(xb, jb)
+            quiet &= ~(bound < _FREEZE * f_ref)
+        else:
+            quiet &= tn < t_freeze
+        n = np.where(quiet.all(axis=1), k, quiet.argmin(axis=1))
+        r = np.arange(m)
+        eng.x[d] = x[r, n]
+        eng.t[d], eng.hold[d], eng.jrem[d] = t[r, n], hold[r, n], jrem[r, n]
+        if mode in ("gain", "trace"):
+            eng.xbar[d] = xbar[r, n]
+            eng.jbar[d] = jbar[r, n]
+        if mode == "trace":
+            j = slice(1, n[0] + 1)
+            records.extend(zip(t[0, j], x[0, j], np.full(n[0], float(st[0])),
+                               xbar[0, j], jbar[0, j].astype(float)))
+        eng.tape.give_back(d, k - n)
+
     max_iter = int(4 * horizon / dt) + 100000
     for _ in range(max_iter):
         act = np.flatnonzero(eng.alive & (eng.t < t_stop - 1e-12))
         if act.size == 0:
             break
+        quiet_steps(act)
         st = eng.state[act]
         cap = t_stop - eng.t[act]
         delta = np.minimum(eng.hold[act], eng.jrem[act])
@@ -475,7 +565,7 @@ def _boundary_callable(boundary, n_states):
     c = np.asarray(boundary, dtype=float)
     if c.shape != (n_states,):
         raise ValidationError("need one boundary value per state")
-    if (c < 0).any():
+    if not (c >= 0).all():  # also refuses NaN; c_j = inf never stops
         raise ValidationError("drawdown boundaries must be nonnegative")
     return lambda s_arr, j_arr: c[j_arr]
 
@@ -491,6 +581,12 @@ def sample_path(model: MapModel, config: SimConfig, path_index: int,
     trajectory is the one path path_index follows inside any batch that
     starts in start_state.
     """
+    if not _is_index(path_index, 2**40):
+        raise ValidationError("path_index must be an integer in [0, 2**40)")
+    if not _is_index(start_state, model.n_states):
+        raise ValidationError("start_state is not a state of the model")
+    if not math.isfinite(x0):
+        raise ValidationError("x0 must be finite")
     res = _run(model, config, "trace", x0=x0, start_state=start_state,
                path_ids=np.array([int(path_index)]))
     return res["records"]
@@ -561,8 +657,12 @@ def estimate_stopped_gain(model: MapModel, config: SimConfig, q: float,
     s0 = float(s0)
     if not 0 <= q < math.inf:
         raise ValidationError("q must be finite and >= 0")
+    if not (math.isfinite(x0) and math.isfinite(s0)):
+        raise ValidationError("start level and maximum must be finite")
     if x0 > s0 + 1e-12:
         raise ValidationError("start needs x <= s")
+    if not (_is_index(i0, model.n_states) and _is_index(j0, model.n_states)):
+        raise ValidationError("start states must be states of the model")
     fn = _boundary_callable(boundary, model.n_states)
     res = _run(model, config, "gain", q=q, x0=x0, start_state=int(i0),
                boundary_fn=fn, gain=gain, xbar0=s0, jbar0=int(j0))
@@ -585,6 +685,10 @@ def verify_mgf(model: MapModel, config: SimConfig, z: float, t: float):
     """
     z = float(z)
     t = float(t)
+    if not math.isfinite(z):
+        raise ValidationError("z must be finite")
+    if not 0 < t < math.inf:
+        raise ValidationError("t must be finite and positive")
     for loc in model.transform_poles():
         if z <= loc:
             raise ValidationError(

@@ -59,6 +59,8 @@ def test_shepp_command_json(tmp_path):
     assert abs(states[1]["c"] - 0.22599) < 1e-4
     assert abs(states[2]["c"] - 0.14712) < 1e-4
     assert states[1]["a"] == "infinity"
+    assert np.allclose(doc["value_at_max"], [1.111779, 1.197053], atol=1e-6)
+    assert states[1]["beats_stopping"] and states[2]["beats_stopping"]
 
 
 def test_shepp_command_no_root(tmp_path):
@@ -68,6 +70,48 @@ def test_shepp_command_no_root(tmp_path):
     states = {d["state"]: d for d in doc["states"]}
     assert states[2]["c"] is None
     assert states[2]["regime"] == "NoRootOnRange"
+    assert doc["value_at_max"] is None
+    assert states[1]["beats_stopping"] is None
+
+
+# a seeded random 3-state model on which the u_j rule is complete but worth
+# less than stopping at once in state 1
+_N3 = {
+    "states": 3,
+    "Q": [-2.1106232157825415, 0.9526461478656609, 1.1579770679168806,
+          0.8436322560184222, -1.8764337808725695, 1.0328015248541473,
+          1.957689912866388, 1.8343720752363044, -3.7920619881026925],
+    "drift": [1.791165735642835, 1.3500570207365936, 1.5696973257859477],
+    "sigma2": [0.5, 0.0, 0.0],
+    "jumps": [
+        {"state": 1, "rate": 0.7376886748442033, "kind": "erlang",
+         "shape": 1, "jump_rate": 2.379112615829528},
+        {"state": 2, "rate": 0.8554079462430897, "kind": "erlang",
+         "shape": 3, "jump_rate": 2.764587012779046},
+        {"state": 3, "rate": 0.47124385384646583, "kind": "erlang",
+         "shape": 1, "jump_rate": 2.0105814557067103},
+    ],
+    "switch_jumps": [
+        {"from": 1, "to": 2, "kind": "exponential",
+         "jump_rate": 1.8093888235940505},
+        {"from": 2, "to": 1, "kind": "exponential",
+         "jump_rate": 1.6796885622409516},
+        {"from": 2, "to": 3, "kind": "exponential",
+         "jump_rate": 1.9179581262194785},
+    ],
+}
+
+
+def test_shepp_json_flags_rule_worse_than_stopping(tmp_path):
+    """The JSON states the rule's value at the maximum: here state 1's
+    interior root gives m_1 = 0.78011 < h_1 = 1."""
+    p = tmp_path / "n3.cfg"
+    p.write_text(json.dumps(_N3))
+    assert cli.main(["shepp", str(p), "--q", "2.07388", "--xmax", "5",
+                     "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "shepp_q2.07388.json").read_text())
+    assert abs(doc["value_at_max"][0] - 0.78011) < 1e-5
+    assert [st["beats_stopping"] for st in doc["states"]] == [False, True, True]
 
 
 def test_exit_command(tmp_path):
@@ -185,6 +229,8 @@ def test_exit_codes(tmp_path):
     ["simulate", "ivanovs2", "--q", "nan", "--functional", "id1", "--paths", "100"],
     ["shepp", "ivanovs2", "--q", "1.8", "--h", "nan", "1"],
     ["exit", "ivanovs2", "--q", "1.5", "--x", "inf", "--a", "inf"],
+    ["simulate", "ivanovs2", "--functional", "id0", "--horizon", "inf"],
+    ["simulate", "ivanovs2", "--functional", "mgf", "--t", "nan"],
 ], ids=["scale_xmax_negative", "scale_step_negative", "scale_step_zero",
         "boundary_step_zero", "boundary_step_beyond_range",
         "shepp_xmax_negative", "shepp_xmax_zero", "kappa_grid_negative",
@@ -192,7 +238,8 @@ def test_exit_codes(tmp_path):
         "kappa_q_nan", "exit_x_nan", "exit_a_nan", "simulate_dt_nan",
         "simulate_horizon_nan", "scale_q_inf", "shepp_q_inf", "exit_q_inf",
         "boundary_s1_inf", "kappa_theta_max_nan", "kappa_theta_max_inf",
-        "simulate_q_nan", "shepp_h_nan", "exit_x_a_inf"])
+        "simulate_q_nan", "shepp_h_nan", "exit_x_a_inf", "simulate_horizon_inf",
+        "simulate_t_nan"])
 def test_bad_grid_is_validation_error(tmp_path, argv):
     """A grid with no points, or a NaN or infinity where a range is checked,
     is bad input (exit 2), not a traceback, and nothing is written; the

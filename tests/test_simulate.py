@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from mapstop import simulate
+from mapstop.config import load_model
 from mapstop.errors import HorizonTooShort, ValidationError
 from mapstop.fluctuation import one_sided_up, two_sided_down, two_sided_up
 from mapstop.scale import spectral_decompose
-from mapstop.simulate import (SimConfig, _Tape, estimate_exit,
+from mapstop.simulate import (SimConfig, _run, _Tape, estimate_exit,
                               estimate_stopped_gain, sample_path, verify_mgf)
 from mapstop.stopping import GainSpec, solve_shepp
 
@@ -232,3 +233,111 @@ def test_wiener_exit_matches_closed_form(wiener2):
     tgt = two_sided_up(rep, x, a)
     dev = np.abs(est1.value - tgt)
     assert (dev <= 3.0 * est1.std_error + 0.01).all()
+
+
+_SHEPP = GainSpec.shepp([1.0, 1.2])
+_WIDTH_RUNS = {
+    "exit": ("wiener2", dict(q=1.5, x0=0.5, a=1.0, start_state=1),
+             ("c0", "c1", "c2")),
+    "mgf": ("ivanovs2", dict(x0=0.0, start_state=0, z=0.5, t_end=1.0),
+            ("cm",)),
+    "gain": ("ivanovs2", dict(q=1.8, x0=0.0, start_state=0, gain=_SHEPP,
+                              boundary_fn=lambda s, j: np.array([0.2, 0.15])[j],
+                              xbar0=0.0, jbar0=0), ("contrib",)),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_WIDTH_RUNS))
+def test_path_independent_of_block_width(mode):
+    """Quiet Euler steps run in blocks whose width falls as the batch grows
+    (256 for one path, 4 for 4,000 live diffusive paths).  A path's output
+    row is the same bit for bit at any width."""
+    name, kw, keys = _WIDTH_RUNS[mode]
+    model = load_model(name)
+    cfg = small_cfg(100)
+    big = _run(model, cfg, mode, path_ids=np.arange(4000), **kw)
+    one = _run(model, cfg, mode, path_ids=np.array([17]), **kw)
+    few = _run(model, cfg, mode, path_ids=np.arange(48), **kw)
+    for k in keys:
+        assert np.array_equal(one[k][0], big[k][17])
+        assert np.array_equal(few[k], big[k][:48])
+
+
+def test_blocks_match_one_step_loop(monkeypatch, ivanovs2, wiener2):
+    """With no room for a block every round is one Euler step, the loop the
+    blocks replace; each mode's output is the same bit for bit, also where
+    paths reach the horizon."""
+    cfg = small_cfg(100, horizon=3.0)
+    runs = [(wiener2, "exit", dict(q=5.0, x0=0.5, a=1.0, start_state=0)),
+            (ivanovs2, "exit", dict(q=3.0, x0=-0.2, a=1.0, start_state=1))]
+    runs += [(ivanovs2, mode, _WIDTH_RUNS[mode][1]) for mode in ("mgf", "gain")]
+    ids = np.arange(48)
+
+    def traces():
+        return [sample_path(m, cfg, i, x0=x0, start_state=s)
+                for m, i, x0, s in ((ivanovs2, 17, 0.3, 1), (wiener2, 5, 0.5, 1))]
+
+    got = [_run(m, cfg, mode, path_ids=ids, **kw) for m, mode, kw in runs]
+    got_traces = traces()
+    monkeypatch.setattr(simulate, "_BLOCK", 0)
+    for (m, mode, kw), out in zip(runs, got):
+        ref = _run(m, cfg, mode, path_ids=ids, **kw)
+        assert all(np.array_equal(ref[k], out[k]) for k in ref)
+    assert all(np.array_equal(a, b) for a, b in zip(traces(), got_traces))
+
+
+def test_gain_batch_starts_without_blocks(ivanovs2):
+    """20,000 live paths leave no room for a block (width 0): the batch
+    starts on the one-step loop and its rows still match lone paths."""
+    _, kw, _ = _WIDTH_RUNS["gain"]
+    cfg = small_cfg(100)
+    big = _run(ivanovs2, cfg, "gain", path_ids=np.arange(20000), **kw)
+    for pid in (17, 19999):
+        one = _run(ivanovs2, cfg, "gain", path_ids=np.array([pid]), **kw)
+        assert np.array_equal(one["contrib"][0], big["contrib"][pid])
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(horizon=float("inf")), dict(dt=float("inf")), dict(dt=float("nan")),
+    dict(n=99), dict(n=1000.5), dict(n=2**40), dict(n=float("nan")),
+    dict(seed=float("nan")), dict(seed=1.5), dict(seed=-1),
+], ids=["horizon_inf", "dt_inf", "dt_nan", "paths_99", "paths_fraction",
+        "paths_2_40", "paths_nan", "seed_nan", "seed_fraction", "seed_negative"])
+def test_bad_config_is_validation_error(kwargs):
+    with pytest.raises(ValidationError):
+        small_cfg(**kwargs)
+
+
+@pytest.mark.parametrize("z, t", [
+    (0.5, float("nan")), (0.5, -1.0), (0.5, 0.0), (0.5, float("inf")),
+    (float("nan"), 1.0),
+], ids=["t_nan", "t_negative", "t_zero", "t_inf", "z_nan"])
+def test_bad_mgf_input_is_validation_error(ivanovs2, z, t):
+    with pytest.raises(ValidationError):
+        verify_mgf(ivanovs2, small_cfg(100), z, t)
+
+
+@pytest.mark.parametrize("boundary, start", [
+    ([0.2, 0.15], (float("nan"), 0.0, 0, 0)),
+    ([0.2, 0.15], (0.0, float("nan"), 0, 0)),
+    ([0.2, 0.15], (0.0, 0.0, 5, 0)),
+    ([0.2, 0.15], (0.0, 0.0, -1, 0)),
+    ([0.2, 0.15], (0.0, 0.0, 0, 2)),
+    ([0.2, 0.15], (0.0, 0.0, 0.5, 0)),
+    ([float("nan"), 0.15], (0.0, 0.0, 0, 0)),
+], ids=["x_nan", "s_nan", "state_5", "state_negative", "jbar_2",
+        "state_fraction", "boundary_nan"])
+def test_bad_gain_input_is_validation_error(ivanovs2, boundary, start):
+    with pytest.raises(ValidationError):
+        estimate_stopped_gain(ivanovs2, small_cfg(100), 1.8, _SHEPP,
+                              boundary, start)
+
+
+@pytest.mark.parametrize("index, kwargs", [
+    (-1, {}), (2**40, {}), (1.5, {}), (0, dict(start_state=7)),
+    (0, dict(start_state=-1)), (0, dict(x0=float("nan"))),
+], ids=["index_negative", "index_2_40", "index_fraction", "state_7",
+        "state_negative", "x0_nan"])
+def test_bad_sample_path_input_is_validation_error(ivanovs2, index, kwargs):
+    with pytest.raises(ValidationError):
+        sample_path(ivanovs2, small_cfg(100), index, **kwargs)
