@@ -5,6 +5,13 @@ Independent oracle backend: evaluates W^(q)(x) by a fixed-contour
 in extended precision.  Everything here re-derives the transform entries
 from the raw model parameters through mpmath, so no code is shared with
 the spectral backend beyond the model container itself.
+
+The parameters are read into mpf once per call, and at each contour node
+the resolvent is solved by Gauss-Jordan elimination on lists of mpc with
+mpmath's 10 guard bits.  The working precision is 30 digits up to x = 2,
+where the node count M = max(48, ceil(24 x)) leaves its base.  Beyond, the
+theta = 0 node carries e^{(r + shift) x} with r x = 0.4 M, so the digits
+grow by (0.4 (M - 48) + shift (x - 2)) / ln 10.
 """
 
 from __future__ import annotations
@@ -25,32 +32,80 @@ _M_BASE = 48
 _EST_TOL = 1e-5
 
 
+def _mp_law(law):
+    """A jump law's mixture as (w, k, mu) triples with w and mu in mpf."""
+    return [(mp.mpf(w), k, mp.mpf(mu)) for w, k, mu in law.components]
+
+
 def _mp_transform(law, s):
-    """Jump transform G(s) = sum w (mu/(mu+s))^k in mpmath arithmetic."""
-    if law.is_none:
+    """Jump transform G(s) = sum w (mu/(mu+s))^k of _mp_law triples; 1 if none."""
+    if not law:
         return mp.mpf(1)
     tot = mp.mpf(0)
-    for w, k, mu in law.components:
-        tot += mp.mpf(w) * (mp.mpf(mu) / (mp.mpf(mu) + s)) ** k
+    for w, k, mu in law:
+        tot += w * (mu / (mu + s)) ** k
     return tot
 
 
-def _mp_resolvent(model: MapModel, q, s):
-    """(Psi(s) - q I)^{-1} as an mpmath matrix."""
-    n = model.n_states
-    A = mp.zeros(n, n)
-    for i in range(n):
-        c = model.components[i]
-        val = mp.mpf(c.drift) * s + mp.mpf(c.sigma2) / 2 * s * s
-        for r, law in c.jumps:
-            val += mp.mpf(r) * (_mp_transform(law, s) - 1)
-        A[i, i] = val + mp.mpf(model.q_matrix[i, i]) - q
+def _mp_inverse(a):
+    """Inverse of a square list of lists of mpf/mpc, overwriting it.
+
+    Gauss-Jordan elimination with partial pivoting at mpmath's 10 guard
+    bits (those of mp.inverse).  A pivot with |p| <= ||A||_1 eps, the
+    singularity test of mp.inverse, raises InversionUnstable.
+    """
+    n = len(a)
+    with mp.mp.extraprec(10):
+        tol = max(mp.fsum((row[j] for row in a), absolute=True) for j in range(n)) * mp.eps
+        swaps = []
         for j in range(n):
-            if i != j and model.q_matrix[i, j] != 0.0:
-                A[i, j] = mp.mpf(model.q_matrix[i, j]) * _mp_transform(
-                    model.switch_jumps[i][j], s
-                )
-    return A**-1
+            size, p = max((abs(a[i][j]), i) for i in range(j, n))
+            if size <= tol:
+                raise InversionUnstable("resolvent is numerically singular at a contour node")
+            if p != j:
+                a[j], a[p] = a[p], a[j]
+                swaps.append((j, p))
+            rj = a[j]
+            piv = 1 / rj[j]
+            rj[j] = 1
+            rj[:] = [v * piv for v in rj]
+            for i, ri in enumerate(a):
+                if i != j:
+                    f = ri[j]
+                    ri[j] = 0
+                    ri[:] = [v - f * u for v, u in zip(ri, rj)]
+        for j, p in reversed(swaps):
+            for row in a:
+                row[j], row[p] = row[p], row[j]
+    return a
+
+
+def _mp_resolvent(model: MapModel, q):
+    """s -> (Psi(s) - q I)^{-1} as a list of lists, the model read into mpf once."""
+    n = model.n_states
+    zero = mp.mpf(0)
+    rows = []
+    for i, c in enumerate(model.components):
+        jumps = [(mp.mpf(r), _mp_law(law)) for r, law in c.jumps]
+        off = [(j, mp.mpf(model.q_matrix[i, j]), _mp_law(model.switch_jumps[i][j]))
+               for j in range(n) if i != j and model.q_matrix[i, j] != 0.0]
+        rows.append((mp.mpf(c.drift), mp.mpf(c.sigma2) / 2, jumps,
+                     mp.mpf(model.q_matrix[i, i]), off))
+
+    def resolvent(s):
+        A = []
+        for i, (drift, half_s2, jumps, q_ii, off) in enumerate(rows):
+            val = drift * s + half_s2 * s * s
+            for r, law in jumps:
+                val += r * (_mp_transform(law, s) - 1)
+            row = [zero] * n
+            row[i] = val + q_ii - q
+            for j, q_ij, law in off:
+                row[j] = q_ij * _mp_transform(law, s)
+            A.append(row)
+        return _mp_inverse(A)
+
+    return resolvent
 
 
 def _real_root_ceiling(model: MapModel, q: float, phi_q: float) -> float:
@@ -78,30 +133,22 @@ def _real_root_ceiling(model: MapModel, q: float, phi_q: float) -> float:
     return t
 
 
-def _talbot_sum(model, q_mp, x_mp, M, r, shift):
-    n = model.n_states
-    total = mp.zeros(n, n)
-    F = _mp_resolvent(model, q_mp, r + shift)
-    grow = mp.e ** (r * x_mp)
-    for i in range(n):
-        for j in range(n):
-            total[i, j] += mp.mpf("0.5") * F[i, j] * grow
+def _talbot_sum(resolvent, x_mp, M, r, shift):
+    F = resolvent(r + shift)
+    half_grow = mp.exp(r * x_mp) / 2
+    total = [[f * half_grow for f in row] for row in F]
     for k in range(1, M):
         th = mp.pi * k / M
         cot = mp.cot(th)
         s = r * th * (cot + 1j)
         sig = th + (th * cot - 1) * cot
-        F = _mp_resolvent(model, q_mp, s + shift)
-        w = mp.e ** (x_mp * s) * (1 + 1j * sig)
-        for i in range(n):
-            for j in range(n):
-                total[i, j] += (w * F[i, j]).real
-    lead = mp.e ** (shift * x_mp) * r / M
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = float(total[i, j] * lead)
-    return out
+        F = resolvent(s + shift)
+        w = mp.exp(x_mp * s) * (1 + 1j * sig)
+        wr, wi = w.real, w.imag
+        for row, frow in zip(total, F):
+            row[:] = [t + (wr * f.real - wi * f.imag) for t, f in zip(row, frow)]
+    lead = mp.exp(shift * x_mp) * r / M
+    return np.array([[float(t * lead) for t in row] for row in total])
 
 
 def talbot_invert(model: MapModel, q: float, x: float):
@@ -111,30 +158,30 @@ def talbot_invert(model: MapModel, q: float, x: float):
     shift comes from a dominance scan, not from the spectral roots) and
     the node count grows linearly in x so the contour's real-axis crossing
     keeps a fixed margin.  Two node counts are compared; a discrepancy
-    beyond 1e-5 (relative) raises InversionUnstable, and x <= 0 raises
-    ValidationError.
+    beyond 1e-5 (relative) raises InversionUnstable, as does a resolvent
+    that is singular to working precision (at tiny x, where the nodes run
+    far out: x = 1e-40 on ivanovs2).  An x that is not finite and > 0
+    raises ValidationError.
     """
     x = float(x)
-    if x <= 0:
-        raise ValidationError("contour inversion needs x > 0")
+    if not 0 < x < math.inf:
+        raise ValidationError("contour inversion needs a finite x > 0")
     q = float(q)
     phi_q = _phi(model, q)
     ceiling = _real_root_ceiling(model, q, phi_q)
     M = max(_M_BASE, int(math.ceil(24 * x)))
-    old_dps = mp.mp.dps
-    mp.mp.dps = _DPS
-    try:
-        q_mp = mp.mpf(q)
+    shift = max(phi_q + 1.0, ceiling - 5.0)
+    growth = 0.4 * (M - _M_BASE) + shift * max(0.0, x - _M_BASE / 24)
+    with mp.workdps(_DPS + math.ceil(growth / math.log(10))):
+        resolvent = _mp_resolvent(model, mp.mpf(q))
         x_mp = mp.mpf(x)
-        shift = mp.mpf(max(phi_q + 1.0, ceiling - 5.0))
+        shift = mp.mpf(shift)
         res = []
         for m_nodes in (M, M + 16):
             r = mp.mpf(2 * m_nodes) / (5 * x_mp)
             if float(shift + r) <= ceiling + 0.5:
                 r = mp.mpf(ceiling + 1.0) - shift
-            res.append(_talbot_sum(model, q_mp, x_mp, m_nodes, r, shift))
-    finally:
-        mp.mp.dps = old_dps
+            res.append(_talbot_sum(resolvent, x_mp, m_nodes, r, shift))
     scale = 1.0 + np.abs(res[1]).max()
     est = np.abs(res[1] - res[0]).max() / scale
     if est > _EST_TOL:
