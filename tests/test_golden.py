@@ -52,9 +52,9 @@ def _mgf():
     return _estimates(est)
 
 
-def _stopped(boundary, start, gain=None):
+def _stopped(boundary, start, gain=None, q=1.8):
     gain = GainSpec.shepp([1.0, 1.2]) if gain is None else gain
-    return _estimates(estimate_stopped_gain(load_model("ivanovs2"), CFG, 1.8,
+    return _estimates(estimate_stopped_gain(load_model("ivanovs2"), CFG, q,
                                             gain, boundary, start))
 
 
@@ -101,6 +101,8 @@ CASES = {
         lambda s, j: 0.15 + 0.05 * np.tanh(s) * (j + 1), (0.0, 0.0, 1, 1)),
     "stopped_capped": lambda: _stopped([0.3, 0.25], (0.9, 0.9, 0, 0),
                                        gain=_capped()),
+    "stopped_q0": lambda: _stopped([0.3, 0.25], (0.9, 0.9, 0, 0),
+                                   gain=_capped(), q=0.0),
     "stopped_wide": lambda: _stopped([1.5, 1.2], (0.0, 0.0, 0, 1)),
     "stopped_below_max": lambda: _stopped([0.2, 0.15], (-0.1, 0.0, 1, 0)),
     "shepp_curves": _shepp_curves,
@@ -128,6 +130,8 @@ GOLDEN = {
         "5ab3f7e5edce347fad6a8d73316afb2a020c3e9093739f29fd03ca8fb6d74f9f",
     "stopped_capped":
         "8bfa6c3126d9002e054cb745a8e611502930f4e5bb044c4044e312ee7b3027ee",
+    "stopped_q0":
+        "91792b629cac16c674a570081e8e7cc385cd418bf7a289050955fd0f2a5038c9",
     "stopped_wide":
         "37e88b32f1e73e772fa3a6c72b711d829b5958daea577a16875f88327dee6ad1",
     "stopped_below_max":

@@ -271,6 +271,16 @@ def test_blocks_match_one_step_loop(monkeypatch, ivanovs2, wiener2):
     runs = [(wiener2, "exit", dict(q=5.0, x0=0.5, a=1.0, start_state=0)),
             (ivanovs2, "exit", dict(q=3.0, x0=-0.2, a=1.0, start_state=1))]
     runs += [(ivanovs2, mode, _WIDTH_RUNS[mode][1]) for mode in ("mgf", "gain")]
+    # gain at q = 0 (no freeze), and a state whose boundary is infinite
+    bnd = simulate._boundary_callable
+    runs += [(ivanovs2, "gain", dict(
+                 q=0.0, x0=0.9, start_state=0, xbar0=0.9, jbar0=0,
+                 gain=GainSpec.capped([1.0, 1.2], cap=2.0, eps=1.4),
+                 boundary_fn=bnd([0.3, 0.25], 2))),
+             (wiener2, "gain", dict(
+                 q=0.0, x0=0.0, start_state=1, xbar0=0.0, jbar0=0,
+                 gain=GainSpec.shepp([1.0, 1.0]),
+                 boundary_fn=bnd([0.2, np.inf], 2)))]
     ids = np.arange(48)
 
     def traces():
