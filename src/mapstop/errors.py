@@ -51,6 +51,11 @@ class HorizonTooShort(MapstopError):
     pass
 
 
+class TooManyEvents(MapstopError):
+    """The path engine ran out of rounds: paths meet more events than the
+    horizon's round cap allows."""
+
+
 class InvalidSolution(MapstopError):
     pass
 

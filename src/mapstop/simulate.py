@@ -14,6 +14,12 @@ use go back to the tape, so the draws and every path are the same bit for
 bit at any block width.  Then the round's one step takes each path to or
 through its next event.
 
+Each estimator is a _Rule built once per batch: its outputs and a few
+hooks, namely the check at each event, where a path would stop or is
+discounted out, and a trace's rows.  The block and the round read the
+same hooks, so each rule is written once.  The MGF estimator has none:
+every path runs to t_end, where its (X, J) is read.
+
 Randomness protocol
 -------------------
 Path p started in state start_state draws from its own stream of numpy's
@@ -42,12 +48,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import ndtri
 
-from .errors import HorizonTooShort, ValidationError
+from .errors import HorizonTooShort, TooManyEvents, ValidationError
 from .model import MapModel, big_psi
 
 __all__ = [
@@ -61,6 +68,7 @@ __all__ = [
 
 _CHUNK = 256
 _BLOCK = 16384
+_ROUND_SLACK = 100000
 _FREEZE = 1e-10
 _RESOLVE = 1e-8
 
@@ -188,7 +196,6 @@ class _Engine:
     def __init__(self, model: MapModel, cfg: SimConfig, path_ids, x0,
                  start_state, xbar0=None, jbar0=None):
         self.model = model
-        self.cfg = cfg
         p = len(path_ids)
         self.p = p
         tags = [(int(start_state) << 40) | int(pid) for pid in path_ids]
@@ -200,13 +207,12 @@ class _Engine:
         self.exit_rate = np.array([-model.q_matrix[i, i] for i in range(n)])
         self.targets = []
         self.target_cum = []
+        self.part_cum = []
         for i in range(n):
             tg = [j for j in range(n) if j != i and model.q_matrix[i, j] > 0]
             self.targets.append(np.array(tg, dtype=np.int64))
             w = np.array([model.q_matrix[i, j] for j in tg])
             self.target_cum.append(np.cumsum(w) / w.sum() if tg else np.array([]))
-        self.part_cum = []
-        for i in range(n):
             rates = np.array([r for r, _ in model.components[i].jumps])
             self.part_cum.append(np.cumsum(rates) / rates.sum() if len(rates) else None)
         self.t = np.zeros(p)
@@ -290,90 +296,146 @@ class _Engine:
         return mags
 
 
+class _Rule(NamedTuple):
+    """An estimator's part of the path loop in _run, built once per batch:
+    its outputs and the hooks the loop calls (None where it has none)."""
+
+    outputs: Callable[[], dict]  # the batch's result arrays
+    check: Callable | None = None  # (idx, tau): end or record paths at times tau
+    # (st, x_old, x_new, t_new, delta, diffusive): the times check reads
+    # for a step, when they are not its end times t_new
+    cross_time: Callable | None = None
+    stops: Callable | None = None  # (d, xn, xb, jb): where check would act
+    frozen: Callable | None = None  # (t, xb, jb): where paths are discounted out
+    record: Callable | None = None  # (t, x, j, xbar, jbar): rows of path 0
+    tracks_max: bool = False  # whether the loop keeps Xbar and Jbar
+
+
+def _exit_rule(eng, q, a, horizon):
+    """Discounted first passages above a (c0, and c1 before any passage
+    below 0) and below 0 (c2), by exit state."""
+    p, n = eng.p, eng.model.n_states
+    c0, c1, c2 = np.zeros((p, n)), np.zeros((p, n)), np.zeros((p, n))
+    exited = np.zeros(p, dtype=bool)
+    down_seen = np.zeros(p, dtype=bool)
+
+    def check(idx, tau):
+        """Record passages above a and first passages below 0."""
+        x = eng.x[idx]
+        above = x >= a
+        if above.any():
+            u_idx = idx[above]
+            disc = np.exp(-q * tau[above])
+            c0[u_idx, eng.state[u_idx]] = disc
+            first = ~down_seen[u_idx]
+            c1[u_idx[first], eng.state[u_idx][first]] = disc[first]
+            exited[u_idx] = True
+            eng.alive[u_idx] = False
+        fresh = (x < 0.0) & ~down_seen[idx]
+        if fresh.any():
+            f_idx = idx[fresh]
+            c2[f_idx, eng.state[f_idx]] = np.exp(-q * tau[fresh])
+            down_seen[f_idx] = True
+            exited[f_idx] = True
+
+    def cross_time(st, x_old, x_new, t_new, delta, diffusive):
+        # barrier reads: grid time for diffusive segments, exact linear
+        # crossing time on drift-only segments (t_new - delta is not
+        # bitwise the old time, so the expression stays as written)
+        above = x_new >= a
+        bv = (above | (x_new < 0.0)) & ~diffusive
+        if not bv.any():
+            return t_new
+        tau = t_new.copy()
+        level = np.where(above[bv], a, 0.0)
+        tau[bv] = (t_new[bv] - delta[bv]
+                   + (level - x_old[bv]) / eng.drift[st[bv]])
+        return tau
+
+    def stops(d, xn, xb, jb):
+        """Passages above a and first passages below 0, per block step."""
+        return (xn >= a) | ((xn < 0.0) & ~down_seen[d][:, None])
+
+    def outputs():
+        unresolved = (~exited) & (np.exp(-q * np.minimum(
+            eng.t, horizon)) >= _RESOLVE) & (eng.t >= horizon - 1e-9)
+        return {"c0": c0, "c1": c1, "c2": c2, "exited": exited,
+                "unresolved": unresolved}
+
+    frozen = (lambda t, xb, jb: t >= -math.log(_FREEZE) / q) if q > 0 else None
+    return _Rule(outputs, check, cross_time, stops, frozen)
+
+
+def _gain_rule(eng, q, boundary_fn, gain):
+    """The gain e^{-q tau} f(Xbar, Jbar) at the drawdown time tau."""
+    contrib = np.zeros(eng.p)
+    stopped = np.zeros(eng.p, dtype=bool)
+    # reference scale for the truncation rule: the gain can grow with
+    # the running maximum, so the freeze criterion is on the whole
+    # discounted payoff bound, not the discount factor alone
+    f_ref = max(float(gain.f(eng.xbar[0], eng.jbar[0])), 1e-300)
+
+    def payoff(t, xb, jb):
+        """The discounted payoff bound e^{-q t} f(xb, jb)."""
+        return np.exp(-q * t) * gain.f(xb, jb)
+
+    def stops(d, xn, xb, jb):
+        """Whether the drawdown xb - xn strictly exceeds the boundary."""
+        bnd = boundary_fn(xb.ravel(), jb.ravel())
+        return ((xb.ravel() - xn.ravel()) > bnd).reshape(xn.shape)
+
+    def check(idx, tau):
+        """Stop the paths in idx that the boundary stops."""
+        hit = stops(idx, eng.x[idx], eng.xbar[idx], eng.jbar[idx])
+        if hit.any():
+            h_idx = idx[hit]
+            contrib[h_idx] = payoff(tau[hit], eng.xbar[h_idx], eng.jbar[h_idx])
+            stopped[h_idx] = True
+            eng.alive[h_idx] = False
+
+    def outputs():
+        small = payoff(eng.t, eng.xbar, eng.jbar) < _RESOLVE * f_ref
+        return {"contrib": contrib, "stopped": stopped,
+                "discounted": ~stopped & small}
+
+    frozen = (lambda t, xb, jb: payoff(t, xb, jb) < _FREEZE * f_ref) if q > 0 else None
+    return _Rule(outputs, check, None, stops, frozen, tracks_max=True)
+
+
 def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, a=None,
          boundary_fn=None, gain=None, xbar0=None, jbar0=None, z=None,
          t_end=None, path_ids=None):
-    """Core loop shared by all estimators; see the module docstring."""
-    n = model.n_states
+    """Core loop shared by all estimators; see the module docstring.  mode
+    picks the estimator's _Rule, and the loop reads nothing else of it."""
     if path_ids is None:
         path_ids = np.arange(cfg.n_paths)
     eng = _Engine(model, cfg, path_ids, x0, start_state,
                   xbar0=xbar0, jbar0=jbar0)
-    p = eng.p
     dt = cfg.dt
     horizon = cfg.horizon
     t_stop = horizon if t_end is None else t_end
-    t_freeze = math.inf if q <= 0 else -math.log(_FREEZE) / q
-    out = {}
     if mode == "exit":
-        out["c0"] = np.zeros((p, n))
-        out["c1"] = np.zeros((p, n))
-        out["c2"] = np.zeros((p, n))
-        out["exited"] = np.zeros(p, dtype=bool)
-        down_seen = np.zeros(p, dtype=bool)
+        rule = _exit_rule(eng, q, a, horizon)
     elif mode == "gain":
-        out["contrib"] = np.zeros(p)
-        out["stopped"] = np.zeros(p, dtype=bool)
-    elif mode == "mgf":
-        out["cm"] = np.zeros((p, n))
-    records = []
-
-    def record():
-        records.append((eng.t[0], eng.x[0], float(eng.state[0]),
-                        eng.xbar[0], float(eng.jbar[0])))
-
-    def gain_check(idx, tau):
-        """Stop paths in idx whose drawdown strictly exceeds the boundary."""
-        if idx.size == 0:
-            return
-        bnd = boundary_fn(eng.xbar[idx], eng.jbar[idx])
-        hit = (eng.xbar[idx] - eng.x[idx]) > bnd
-        if hit.any():
-            h_idx = idx[hit]
-            fval = gain.f(eng.xbar[h_idx], eng.jbar[h_idx])
-            out["contrib"][h_idx] = fval * np.exp(-q * tau[hit])
-            out["stopped"][h_idx] = True
-            eng.alive[h_idx] = False
-
-    def down_check(idx, tau):
-        """Record the first passage below 0 for paths in idx (exit mode)."""
-        if idx.size == 0:
-            return
-        below = eng.x[idx] < 0.0
-        fresh = below & ~down_seen[idx]
-        if fresh.any():
-            f_idx = idx[fresh]
-            out["c2"][f_idx, eng.state[f_idx]] = np.exp(-q * tau[fresh])
-            down_seen[f_idx] = True
-            out["exited"][f_idx] = True
-
-    check = {"exit": down_check, "gain": gain_check}.get(mode)
+        rule = _gain_rule(eng, q, boundary_fn, gain)
+    elif mode == "trace":  # rows (t, X, J, Xbar, Jbar) of path 0
+        rows = []
+        rule = _Rule(lambda: {"records": np.array(rows)}, tracks_max=True,
+                     record=lambda *cols: rows.extend(zip(*cols)))
+    else:  # mgf: every path runs to t_end, where e^{z X} is read by J
+        rule = _Rule(lambda: {"cm": np.where(
+            eng.state[:, None] == np.arange(model.n_states),
+            np.exp(z * eng.x)[:, None], 0.0)})
+    if rule.check is not None:
+        rule.check(np.arange(eng.p), eng.t)
 
     def settle(idx, mags):
-        """Apply the downward jumps mags to paths idx, run the mode's check
+        """Apply the downward jumps mags to paths idx, run the rule's check
         at the current time and return the paths still alive."""
         eng.x[idx] -= mags
-        if check is not None:
-            check(idx, eng.t[idx])
+        if rule.check is not None:
+            rule.check(idx, eng.t[idx])
         return idx[eng.alive[idx]]
-
-    if mode == "gain":
-        # reference scale for the truncation rule: the gain can grow with
-        # the running maximum, so the freeze criterion is on the whole
-        # discounted payoff bound, not the discount factor alone
-        f_ref = max(float(gain.f(eng.xbar[0], eng.jbar[0])), 1e-300)
-        gain_check(np.flatnonzero(eng.alive), eng.t[eng.alive])
-    if mode == "exit" and x0 >= a:
-        out["c0"][:, start_state] = 1.0
-        out["c1"][:, start_state] = 1.0
-        out["exited"][:] = True
-        eng.alive[:] = False
-    elif mode == "exit" and x0 < 0:
-        out["c2"][:, start_state] = 1.0
-        out["exited"][:] = True
-        down_seen[:] = True
-    if mode == "trace" and eng.alive.any():
-        record()
 
     def quiet_steps(act):
         """Run the diffusive paths in act through their leading quiet steps,
@@ -407,10 +469,8 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, a=None,
         # active ...
         quiet = ((np.minimum(hold[:, :-1], jrem[:, :-1]) > dt)
                  & (t_stop - t[:, :-1] > dt) & (tn < t_stop - 1e-12))
-        # ... and no check or freeze fires after it
-        if mode == "exit":
-            quiet &= (xn < a) & ((xn >= 0.0) | down_seen[d][:, None])
-        if mode in ("gain", "trace"):
+        xb = jb = None
+        if rule.tracks_max:
             # a step sets (xbar, jbar) when x reaches the previous maximum
             cand = x.copy()
             cand[:, 0] = eng.xbar[d]
@@ -421,29 +481,28 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, a=None,
             xbar = np.take_along_axis(cand, last, axis=1)
             jbar = np.where(last > 0, st[:, None], eng.jbar[d][:, None])
             xb, jb = xbar[:, 1:], jbar[:, 1:]
-        if mode == "gain":
-            bnd = boundary_fn(xb.ravel(), jb.ravel())
-            quiet &= ~((xb.ravel() - xn.ravel()) > bnd).reshape(m, k)
-        if mode == "gain" and q > 0:
-            bound = np.exp(-q * tn) * gain.f(xb, jb)
-            quiet &= ~(bound < _FREEZE * f_ref)
-        else:
-            quiet &= tn < t_freeze
+        # ... and no check or freeze fires after it
+        if rule.stops is not None:
+            quiet &= ~rule.stops(d, xn, xb, jb)
+        if rule.frozen is not None:
+            quiet &= ~rule.frozen(tn, xb, jb)
         n = np.where(quiet.all(axis=1), k, quiet.argmin(axis=1))
         r = np.arange(m)
         eng.x[d] = x[r, n]
         eng.t[d], eng.hold[d], eng.jrem[d] = t[r, n], hold[r, n], jrem[r, n]
-        if mode in ("gain", "trace"):
+        if rule.tracks_max:
             eng.xbar[d] = xbar[r, n]
             eng.jbar[d] = jbar[r, n]
-        if mode == "trace":
+        if rule.record is not None:
             j = slice(1, n[0] + 1)
-            records.extend(zip(t[0, j], x[0, j], np.full(n[0], float(st[0])),
-                               xbar[0, j], jbar[0, j].astype(float)))
+            rule.record(t[0, j], x[0, j], st[:1].repeat(n[0]), xbar[0, j], jbar[0, j])
         eng.tape.give_back(d, k - n)
 
-    max_iter = int(4 * horizon / dt) + 100000
+    max_iter = int(4 * horizon / dt) + _ROUND_SLACK
     for _ in range(max_iter):
+        if rule.record is not None and eng.alive[0]:
+            rule.record(eng.t[:1], eng.x[:1], eng.state[:1], eng.xbar[:1],
+                        eng.jbar[:1])
         act = np.flatnonzero(eng.alive & (eng.t < t_stop - 1e-12))
         if act.size == 0:
             break
@@ -467,42 +526,14 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, a=None,
         eng.t[act] = t_new
         eng.hold[act] -= delta
         eng.jrem[act] -= delta
-
-        if mode == "exit":
-            # barrier reads: grid time for diffusive segments, exact linear
-            # crossing time on drift-only segments (t_new - delta is not
-            # bitwise the old time, so the expression stays as written)
-            up = x_new >= a
-            down = (x_new < 0.0) & ~up
-            hit = up | down
-            if hit.any():
-                tau = t_new.copy()
-                bv = hit & ~diffusive
-                if bv.any():
-                    level = np.where(up[bv], a, 0.0)
-                    tau[bv] = (t_new[bv] - delta[bv]
-                               + (level - x_old[bv]) / eng.drift[st[bv]])
-                if up.any():
-                    u_idx = act[up]
-                    disc = np.exp(-q * tau[up])
-                    out["c0"][u_idx, eng.state[u_idx]] = disc
-                    first = ~down_seen[u_idx]
-                    out["c1"][u_idx[first], eng.state[u_idx][first]] = disc[first]
-                    out["exited"][u_idx] = True
-                    eng.alive[u_idx] = False
-                down_check(act[down], tau[down])
-        elif mode == "mgf":
-            done = t_new >= t_end - 1e-12
-            if done.any():
-                f_idx = act[done]
-                out["cm"][f_idx, eng.state[f_idx]] = np.exp(z * eng.x[f_idx])
-                eng.alive[f_idx] = False
-        else:  # gain and trace: running maximum and its state
+        if rule.tracks_max:  # running maximum and its state
             m = act[x_new >= eng.xbar[act]]
             eng.xbar[m] = eng.x[m]
             eng.jbar[m] = eng.state[m]
-            if mode == "gain":
-                gain_check(act, t_new)
+        if rule.check is not None:
+            tau = t_new if rule.cross_time is None else rule.cross_time(
+                st, x_old, x_new, t_new, delta, diffusive)
+            rule.check(act, tau)
 
         # compound jumps at exact exponential times
         jmp = np.flatnonzero(eng.alive & (eng.jrem == 0.0))
@@ -519,32 +550,14 @@ def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, a=None,
             eng.state[sw] = eng.tgt[sw]
             eng._enter(settle(sw, mags))
 
-        if mode == "trace" and eng.alive[0]:
-            record()
-
-        if mode == "gain" and q > 0:
+        if rule.frozen is not None:
             live = np.flatnonzero(eng.alive)
-            if live.size:
-                bound = np.exp(-q * eng.t[live]) * gain.f(eng.xbar[live],
-                                                          eng.jbar[live])
-                dead = live[bound < _FREEZE * f_ref]
-                eng.alive[dead] = False
-        else:
-            frozen = eng.alive & (eng.t >= t_freeze)
-            if frozen.any():
-                eng.alive[frozen] = False
+            eng.alive[live] = ~rule.frozen(eng.t[live], eng.xbar[live],
+                                           eng.jbar[live])
     else:
-        raise RuntimeError("path loop failed to terminate")
-
-    if mode == "exit":
-        out["unresolved"] = (~out["exited"]) & (np.exp(-q * np.minimum(
-            eng.t, horizon)) >= _RESOLVE) & (eng.t >= horizon - 1e-9)
-    elif mode == "gain":
-        payoff_bound = np.exp(-q * eng.t) * gain.f(eng.xbar, eng.jbar)
-        out["discounted"] = (~out["stopped"]) & (payoff_bound < _RESOLVE * f_ref)
-    elif mode == "trace":
-        out["records"] = np.array(records)
-    return out
+        raise TooManyEvents(f"{act.size} of {eng.p} paths still live after "
+                            f"{max_iter} engine rounds; shorten the horizon")
+    return rule.outputs()
 
 
 def _boundary_callable(boundary, n_states):
@@ -568,6 +581,19 @@ def _boundary_callable(boundary, n_states):
     if not (c >= 0).all():  # also refuses NaN; c_j = inf never stops
         raise ValidationError("drawdown boundaries must be nonnegative")
     return lambda s_arr, j_arr: c[j_arr]
+
+
+def _per_start_state(model, config, mode, keys, **kw):
+    """One batch of config.n_paths paths from each start state i.  Returns
+    the (N, N) means and standard errors of each output in keys, row i
+    from batch i, and the batches' outputs."""
+    runs = [_run(model, config, mode, start_state=i, **kw)
+            for i in range(model.n_states)]
+    est = {}
+    for k in keys:
+        mean, se = zip(*(_estimate(res[k]) for res in runs))
+        est[k] = np.array(mean), np.array(se)
+    return est, runs
 
 
 # --- public operations -------------------------------------------------
@@ -618,26 +644,16 @@ def estimate_exit(model: MapModel, config: SimConfig, q: float, x: float,
     if not -math.inf < x <= a:
         raise ValidationError("requires finite x <= a")
     n = model.n_states
-    vals = {k: np.zeros((n, n)) for k in ("c0", "c1", "c2")}
-    ses = {k: np.zeros((n, n)) for k in ("c0", "c1", "c2")}
-    resolved = 0
-    bad = 0
-    for i in range(n):
-        res = _run(model, config, "exit", q=q, x0=x, a=a, start_state=i)
-        for k in ("c0", "c1", "c2"):
-            mean, se = _estimate(res[k])
-            vals[k][i] = mean
-            ses[k][i] = se
-        bad += int(res["unresolved"].sum())
-        resolved += config.n_paths - int(res["unresolved"].sum())
+    est, runs = _per_start_state(model, config, "exit", ("c0", "c1", "c2"),
+                                 q=q, x0=x, a=a)
+    bad = sum(int(res["unresolved"].sum()) for res in runs)
     if bad > 0.01 * n * config.n_paths:
         raise HorizonTooShort(
             f"{bad} of {n * config.n_paths} paths unresolved at the horizon"
         )
-    return tuple(
-        PathEstimate(value=vals[k], std_error=ses[k], n_effective=resolved)
-        for k in ("c0", "c1", "c2")
-    )
+    return tuple(PathEstimate(value=v, std_error=se,
+                              n_effective=n * config.n_paths - bad)
+                 for v, se in est.values())
 
 
 def estimate_stopped_gain(model: MapModel, config: SimConfig, q: float,
@@ -694,16 +710,7 @@ def verify_mgf(model: MapModel, config: SimConfig, z: float, t: float):
             raise ValidationError(
                 f"z = {z} is outside the transform domain (pole at {loc})"
             )
-    n = model.n_states
-    vals = np.zeros((n, n))
-    ses = np.zeros((n, n))
-    for i in range(n):
-        res = _run(model, config, "mgf", x0=0.0, start_state=i, z=z,
-                   t_end=t)
-        mean, se = _estimate(res["cm"])
-        vals[i] = mean
-        ses[i] = se
+    est, _ = _per_start_state(model, config, "mgf", ("cm",), x0=0.0, z=z,
+                              t_end=t)
     analytic = np.real(expm(big_psi(model, z) * t))
-    est = PathEstimate(value=vals, std_error=ses,
-                       n_effective=n * config.n_paths)
-    return est, analytic
+    return PathEstimate(*est["cm"], n_effective=model.n_states * config.n_paths), analytic

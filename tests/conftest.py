@@ -68,6 +68,13 @@ def exchangeable_model(d=0.0, n=3):
     return MapModel(Q, (comp,) * n)
 
 
+# one state, drift 1, jumps at rate 2e4 of mean size 1e-4: about 2e4
+# events per unit of time on every path
+BUSY = {"states": 1, "Q": [0.0], "drift": [1.0], "sigma2": [0.0],
+        "jumps": [{"state": 1, "rate": 2e4, "kind": "exponential",
+                   "jump_rate": 1e4}]}
+
+
 def check_scale_csv(path, table):
     """ScaleTable.to_csv layout: a '# q=.. states=N' line, the column names,
     then x, W, Z (row-major), [W 1], [Z 1] and u per grid point, each

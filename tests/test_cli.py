@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from mapstop import cli
+from mapstop import cli, simulate
 from mapstop.config import dump_model, load_model
 from mapstop.scale import ScaleTable, spectral_decompose
 
-from conftest import check_scale_csv, exchangeable_model
+from conftest import BUSY, check_scale_csv, exchangeable_model
 
 
 def read_rows(path):
@@ -181,6 +181,17 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     rc = cli.main(["shepp", "ivanovs2", "--q", "5"])
     assert rc == 0
     assert (tmp_path / "shepp_q5.json").exists()
+
+
+def test_round_cap_exit_code(tmp_path, monkeypatch, capsys):
+    """The engine's round cap is a numerical failure, exit 3."""
+    monkeypatch.setattr(simulate, "_ROUND_SLACK", 0)
+    p = tmp_path / "busy.cfg"
+    p.write_text(json.dumps(BUSY))
+    assert cli.main(["simulate", str(p), "--functional", "id1", "--q", "0.01",
+                     "--paths", "100", "--horizon", "0.01",
+                     "--out", str(tmp_path)]) == 3
+    assert "TooManyEvents" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path):

@@ -9,10 +9,15 @@ stopped-gain estimates can take as their boundary.  That pin also
 follows the last bits of the spectral core, so a change there may re-pin
 it when it states the largest change in the curves.
 
-The pins depend on numpy's ``exp`` and scipy's ``ndtri`` (the inverse
-normal behind every Euler increment) as well as on the engine.  Only a
-change that declares a change to the draw protocol may re-pin them; a
-refactor or speed-up must leave every digest as it is.
+The pins depend on numpy's ``exp`` and ``log1p`` (the exponential
+clocks and the jump sizes) and scipy's ``ndtri`` (the inverse normal
+behind every Euler increment) as well as on the engine.  Five of them
+(``exit_wiener2_q5``, ``mgf``, ``sample_path``, ``stopped_constant`` and
+``stopped_curves``) hold only where numpy dispatches ``exp`` and
+``log1p`` to its AVX-512 kernels, which differ in the last bit from the
+AVX2 and baseline kernels on a few percent of inputs.  Only a change
+that declares a change to the draw protocol may re-pin them; a refactor
+or speed-up must leave every digest as it is.
 """
 
 import hashlib

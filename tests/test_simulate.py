@@ -11,12 +11,14 @@ import pytest
 
 from mapstop import simulate
 from mapstop.config import load_model
-from mapstop.errors import HorizonTooShort, ValidationError
+from mapstop.errors import HorizonTooShort, TooManyEvents, ValidationError
 from mapstop.fluctuation import one_sided_up, two_sided_down, two_sided_up
 from mapstop.scale import spectral_decompose
 from mapstop.simulate import (SimConfig, _run, _Tape, estimate_exit,
                               estimate_stopped_gain, sample_path, verify_mgf)
 from mapstop.stopping import GainSpec, solve_shepp
+
+from conftest import BUSY
 
 
 def small_cfg(n=400, dt=1e-3, horizon=50.0, seed=20260822):
@@ -159,6 +161,16 @@ def test_horizon_too_short_raises(ivanovs2):
     cfg = small_cfg(100, horizon=0.5)
     with pytest.raises(HorizonTooShort):
         estimate_exit(ivanovs2, cfg, 1.5, 0.5, 40.0)
+
+
+def test_round_cap_is_typed_error(monkeypatch):
+    """Without the slack the cap is 4 horizon / dt = 40 rounds, against
+    about 200 events per path over the horizon 0.01."""
+    monkeypatch.setattr(simulate, "_ROUND_SLACK", 0)
+    cfg = small_cfg(100, horizon=0.01)
+    with pytest.raises(TooManyEvents, match="100 of 100 paths still live "
+                       "after 40 engine rounds; shorten the horizon"):
+        estimate_exit(load_model(BUSY), cfg, 0.01, 0.5, 1.0)
 
 
 def test_exit_rejects_coarse_dt(ivanovs2):
