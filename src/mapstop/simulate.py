@@ -363,7 +363,7 @@ def _exit_rule(eng, q, a, horizon):
                 "unresolved": unresolved}
 
     frozen = (lambda t, xb, jb: t >= -math.log(_FREEZE) / q) if q > 0 else None
-    return _Rule(outputs, check, cross_time, stops, frozen)
+    return _Rule(outputs, check=check, cross_time=cross_time, stops=stops, frozen=frozen)
 
 
 def _gain_rule(eng, q, boundary_fn, gain):
@@ -399,7 +399,7 @@ def _gain_rule(eng, q, boundary_fn, gain):
                 "discounted": ~stopped & small}
 
     frozen = (lambda t, xb, jb: payoff(t, xb, jb) < _FREEZE * f_ref) if q > 0 else None
-    return _Rule(outputs, check, None, stops, frozen, tracks_max=True)
+    return _Rule(outputs, check=check, stops=stops, frozen=frozen, tracks_max=True)
 
 
 def _run(model, cfg, mode, *, q=0.0, x0=0.0, start_state=0, a=None,
